@@ -57,7 +57,7 @@ def _as_vector(u, dim, name="u"):
 
 
 def _require_nonzero(u, name="u"):
-    if not np.any(u):
+    if not u.any():
         raise BodyError(f"{name} must be nonzero")
 
 

@@ -117,9 +117,9 @@ def hyperplane_chart(direction):
     for i in range(n):
         if i == drop:
             continue
-        v = np.zeros(n)
+        v = np.zeros(n)  # e_i - x_i x from zeros: 0.0 - (+-0.0) keeps off-axis zeros +0.0
         v[i] = 1.0
-        v = v - (v @ x) * x
+        v -= x[i] * x
         for c in cols:
             v = v - (v @ c) * c
         v = v / np.linalg.norm(v)
@@ -141,16 +141,16 @@ def _ball_cap_fraction(a, n):
 # --- polytope slicing ------------------------------------------------------
 
 
-def _slice_points(vertices, edges, x, t):
-    """Crossing points of polytope edges with the hyperplane <x,y> = t."""
-    d = vertices @ x
-    pts = [vertices[i] for i in np.flatnonzero(d == t)]
-    di, dj = d[edges[:, 0]], d[edges[:, 1]]
-    cross = (di - t) * (dj - t) < 0.0
-    for i, j in edges[cross]:
-        s = (t - d[i]) / (d[j] - d[i])
-        pts.append(vertices[i] + s * (vertices[j] - vertices[i]))
-    return np.array(pts) if pts else np.empty((0, vertices.shape[1]))
+def _slice_points(vertices, edges, d, t):
+    """Points of the polytope on the hyperplane <x,y> = t, given ``d = vertices @ x``.
+
+    Vertices with ``d == t`` come first, then the crossings of edges whose ends
+    lie strictly on opposite sides, in edge order.
+    """
+    cross = (d[edges[:, 0]] - t) * (d[edges[:, 1]] - t) < 0.0
+    i, j = edges[cross].T
+    s = (t - d[i]) / (d[j] - d[i])
+    return np.vstack([vertices[d == t], vertices[i] + s[:, None] * (vertices[j] - vertices[i])])
 
 
 def _chart_polytope_data(chart_pts):
@@ -170,14 +170,11 @@ def _chart_polytope_data(chart_pts):
     except QhullError:
         return 0.0, None
     interior = chart_pts[hull.vertices].mean(axis=0)
-    total = 0.0
-    first_moment = np.zeros(k)
-    fact = factorial(k)
-    for facet in hull.simplices:
-        span = chart_pts[facet] - interior
-        vol = abs(np.linalg.det(span)) / fact
-        total += vol
-        first_moment += vol * (chart_pts[facet].sum(axis=0) + interior) / (k + 1)
+    facets = chart_pts[hull.simplices]  # (F, k, k): the k vertices of each hull facet
+    vols = np.abs(np.linalg.det(facets - interior)) / factorial(k)
+    # cumsum adds left to right like a scalar loop (sum() is pairwise), keeping report bytes stable
+    total = np.cumsum(vols)[-1]
+    first_moment = np.cumsum(vols[:, None] * (facets.sum(axis=1) + interior) / (k + 1), axis=0)[-1]
     if total <= 0.0:
         return 0.0, None
     return total, first_moment / total
@@ -202,7 +199,7 @@ def _canonical_plane(x, t):
 
 def _polytope_section(vertices, edges, H):
     x, t, sgn = _canonical_plane(H.direction, H.offset)
-    pts = _slice_points(vertices, edges, x, t)
+    pts = _slice_points(vertices, edges, vertices @ x, t)
     n = vertices.shape[1]
     if len(pts) < n:
         return SectionData(0.0, None, None, SectionMethod.EXACT)
@@ -258,9 +255,7 @@ def _hpolytope_section(K, H):
 def _clipped_polytope_volume(vertices, edges, x, t):
     """Volume of the polytope clipped to ``<x, y> >= t`` (hull of kept + crossings)."""
     d = vertices @ x
-    kept = vertices[d >= t]
-    pts = _slice_points(vertices, edges, x, t)
-    cloud = np.vstack([kept, pts]) if len(pts) else kept
+    cloud = np.vstack([vertices[d >= t], _slice_points(vertices, edges, d, t)])
     if len(cloud) <= vertices.shape[1]:
         return 0.0
     try:

@@ -342,13 +342,9 @@ def certify(report, dim):
     """True iff the report establishes at least ``dim`` distinct antipodal pairs.
 
     A flagged degenerate continuum counts as >= dim pairs (it contains
-    infinitely many); an exhausted budget with fewer pairs never certifies.
+    infinitely many); otherwise the distinct pair count alone decides.
     """
-    if report.degenerate_continuum:
-        return True
-    if report.budget_exhausted and len(report.pairs) < dim:
-        return False
-    return len(report.pairs) >= dim
+    return report.degenerate_continuum or len(report.pairs) >= dim
 
 
 # --- exhaustive low-dimensional oracle --------------------------------------

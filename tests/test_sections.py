@@ -1,6 +1,10 @@
+from math import factorial
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
+from capsec import sections
 from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube, sphere_net
 from capsec.sections import (
     Hyperplane,
@@ -157,6 +161,119 @@ class TestSection:
             assert a.measure == pytest.approx(b.measure, rel=1e-9)
             if not a.degenerate:
                 assert a.centroid == pytest.approx(b.centroid, abs=1e-9)
+
+
+# Reference loops: one slice point per edge and one det per hull facet.  The
+# library's whole-array versions must reproduce them bit for bit.
+
+
+def loop_slice_points(vertices, edges, d, t):
+    pts = [vertices[i] for i in np.flatnonzero(d == t)]
+    cross = (d[edges[:, 0]] - t) * (d[edges[:, 1]] - t) < 0.0
+    for i, j in edges[cross]:
+        s = (t - d[i]) / (d[j] - d[i])
+        pts.append(vertices[i] + s * (vertices[j] - vertices[i]))
+    return np.array(pts) if pts else np.empty((0, vertices.shape[1]))
+
+
+def loop_chart_polytope_data(chart_pts):
+    m, k = chart_pts.shape
+    if k == 1:
+        lo, hi = float(chart_pts.min()), float(chart_pts.max())
+        if hi <= lo:
+            return 0.0, None
+        return hi - lo, np.array([0.5 * (lo + hi)])
+    try:
+        hull = ConvexHull(chart_pts)
+    except QhullError:
+        return 0.0, None
+    interior = chart_pts[hull.vertices].mean(axis=0)
+    total = 0.0
+    first_moment = np.zeros(k)
+    for facet in hull.simplices:
+        vol = abs(np.linalg.det(chart_pts[facet] - interior)) / factorial(k)
+        total += vol
+        first_moment += vol * (chart_pts[facet].sum(axis=0) + interior) / (k + 1)
+    if total <= 0.0:
+        return 0.0, None
+    return total, first_moment / total
+
+
+def loop_hyperplane_chart(x):
+    drop = int(np.argmax(np.abs(x)))
+    cols = []
+    for i in range(x.shape[0]):
+        if i == drop:
+            continue
+        v = np.zeros(x.shape[0])
+        v[i] = 1.0
+        v = v - (v @ x) * x
+        for c in cols:
+            v = v - (v @ c) * c
+        cols.append(v / np.linalg.norm(v))
+    return np.column_stack(cols)
+
+
+class TestWholeArraySlicingIsBitIdentical:
+    def polytopes(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        return [random_vpolytope(rng, dim) for _ in range(3)] + [cube(1.0, dim)]
+
+    def planes(self, K, rng, count=25):
+        verts = sections._polytope_rep(K)[0]
+        for _ in range(count):
+            x = unit(rng.normal(size=K.dim))
+            yield Hyperplane(x, float(rng.uniform(-0.95, 0.95)) * K.support(x))
+        # through a vertex strictly between the two supporting planes: d == t there
+        x = unit(rng.normal(size=K.dim))
+        d = verts @ x
+        yield Hyperplane(x, float(np.sort(d)[len(d) // 2 - 1]))
+
+    def results(self, K, planes):
+        """(measure, centroid, cap volume) bytes per plane: equal bytes means equal bits."""
+        out = []
+        for H in planes:
+            sec = section(K, H)
+            centroid = None if sec.degenerate else sec.centroid.tobytes()
+            out.append((np.float64(sec.measure).tobytes(), centroid, np.float64(cap_volume(K, H)).tobytes()))
+        return out
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_sections_and_caps_match_loops(self, dim, monkeypatch):
+        for K in self.polytopes(dim):
+            planes = list(self.planes(K, np.random.default_rng(dim)))
+            fast = self.results(K, planes)
+            with monkeypatch.context() as m:
+                m.setattr(sections, "_slice_points", loop_slice_points)
+                m.setattr(sections, "_chart_polytope_data", loop_chart_polytope_data)
+                m.setattr(sections, "hyperplane_chart", loop_hyperplane_chart)
+                slow = self.results(K, planes)
+            assert fast == slow
+            assert sum(centroid is not None for _, centroid, _ in fast) >= 20
+
+    def test_cube_vertices_on_plane(self):
+        # x = (1, 1, 0)/sqrt(2), t = 0 holds the four cube vertices with y1 = -y2
+        K = cube(1.0, 3)
+        verts, edges = sections._polytope_rep(K)
+        d = verts @ unit([1.0, 1.0, 0.0])
+        pts = sections._slice_points(verts, edges, d, 0.0)
+        assert np.count_nonzero(d == 0.0) == 4
+        assert pts.tobytes() == loop_slice_points(verts, edges, d, 0.0).tobytes()
+
+    def test_plane_without_crossings(self):
+        K = random_vpolytope(np.random.default_rng(3), 3)
+        d = K.vertices @ unit([1.0, -2.0, 0.5])
+        for t in (d.max() + 0.1, d.min() - 0.1):
+            pts = sections._slice_points(K.vertices, K.edges, d, t)
+            assert pts.shape == (0, 3)
+            assert pts.tobytes() == loop_slice_points(K.vertices, K.edges, d, t).tobytes()
+
+    def test_chart_matches_loop(self):
+        rng = np.random.default_rng(12)
+        directions = [unit(rng.normal(size=dim)) for dim in (2, 3, 4, 5) for _ in range(50)]
+        directions += [np.eye(4)[1], -np.eye(3)[2], unit([0.0, -1.0, 1.0, 0.0])]
+        for x in directions:
+            assert hyperplane_chart(x).tobytes() == loop_hyperplane_chart(x).tobytes()
 
 
 class TestDerivativeIdentities:
