@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodyError, contains_body
+from .bodies import BodyError, LpBall, contains_body
 from .sections import Hyperplane, SectionData, cap_volume, hyperplane_chart, section
 
 __all__ = [
@@ -53,9 +53,14 @@ def measure_floor(K):
 
 
 def validate_instance(K, L, margin=None):
-    """Raise RejectedInstanceError unless L is strictly convex and L + margin <= K."""
+    """Raise RejectedInstanceError unless K slices exactly, L is strictly convex and L + margin <= K."""
     if K.dim != L.dim:
         raise RejectedInstanceError("K and L must have the same dimension")
+    if isinstance(K, LpBall):
+        raise RejectedInstanceError(
+            "outer body K cannot be an lp-ball: its sections have no exact path "
+            "(estimate them with mc_section / mc_cap_volume)"
+        )
     if not L.strictly_convex:
         raise RejectedInstanceError(
             f"inner body must be strictly convex, got {type(L).__name__}"

@@ -2,10 +2,11 @@
 
 For a body K and hyperplane ``H = {y : <x, y> = t}`` (unit ``x``) this module
 computes the cap volume ``vol{y in K : <x, y> >= t}``, the (n-1)-measure of
-``K ∩ H`` and its centroid.  Polytopes are sliced exactly (edge crossings or a
-chart-restricted halfspace system), balls and ellipsoids analytically; lp-balls
-fall back to the Monte Carlo oracle, which is also available for
-cross-validation of the exact paths.
+``K ∩ H`` and its centroid.  Polytopes, H- or V-form in any dimension, are
+sliced exactly through their vertices and edges; balls and ellipsoids have
+closed forms.  Other bodies (lp-balls) are refused: the Monte Carlo oracles
+``mc_section`` and ``mc_cap_volume`` are called explicitly, for estimates and
+for cross-validation of the exact paths.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from enum import Enum
 from math import factorial
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.spatial import QhullError
+from scipy.optimize import linprog  # unused; perfbench/tracer.py wraps this name
+from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import HalfspaceIntersection  # unused; perfbench/tracer.py wraps this name
 from scipy.special import betainc
 
 from .bodies import (
@@ -26,7 +27,7 @@ from .bodies import (
     ConvexBody,
     Ellipsoid,
     HPolytope,
-    LpBall,
+    UnsupportedRepresentation,
     VPolytope,
     unit_ball_volume,
 )
@@ -40,10 +41,8 @@ __all__ = [
     "mc_cap_volume",
     "mc_section",
     "hyperplane_chart",
-    "EXACT_SECTION_DIMS",
 ]
 
-EXACT_SECTION_DIMS = (2, 3, 4)
 MC_DEFAULT_SAMPLES = 10**6
 MC_DEFAULT_SEED = 20240811
 _UNIT_TOL = 1e-12
@@ -83,10 +82,6 @@ class Hyperplane:
     @property
     def dim(self):
         return self.direction.shape[0]
-
-    def flipped(self):
-        """The same hyperplane written with the opposite normal."""
-        return Hyperplane(-self.direction, -self.offset)
 
 
 @dataclass
@@ -211,47 +206,6 @@ def _polytope_section(vertices, edges, H):
     return SectionData(measure, centroid, measure * centroid, SectionMethod.EXACT)
 
 
-def _hpolytope_section(K, H):
-    x, t, sgn = _canonical_plane(H.direction, H.offset)
-    Q = hyperplane_chart(x)
-    A = K.normals @ Q
-    b = K.offsets - t * (K.normals @ x)
-    k = Q.shape[1]
-    if k == 1:
-        lo, hi = -np.inf, np.inf
-        for a, bb in zip(A[:, 0], b):
-            if a > 1e-14:
-                hi = min(hi, bb / a)
-            elif a < -1e-14:
-                lo = max(lo, bb / a)
-            elif bb < 0:
-                return SectionData(0.0, None, None, SectionMethod.EXACT)
-        if hi <= lo:
-            return SectionData(0.0, None, None, SectionMethod.EXACT)
-        measure, chart_centroid = hi - lo, np.array([0.5 * (lo + hi)])
-    else:
-        row_norms = np.linalg.norm(A, axis=1)
-        res = linprog(
-            np.r_[np.zeros(k), -1.0],
-            A_ub=np.column_stack([A, row_norms]),
-            b_ub=b,
-            bounds=[(None, None)] * k + [(0.0, None)],
-            method="highs",
-        )
-        if not res.success or res.x[-1] <= 1e-12:
-            return SectionData(0.0, None, None, SectionMethod.EXACT)
-        center = res.x[:k]
-        try:
-            hi = HalfspaceIntersection(np.column_stack([A, -b]), center)
-        except QhullError:
-            return SectionData(0.0, None, None, SectionMethod.EXACT)
-        measure, chart_centroid = _chart_polytope_data(hi.intersections)
-        if chart_centroid is None:
-            return SectionData(0.0, None, None, SectionMethod.EXACT)
-    centroid = sgn * (t * x + Q @ chart_centroid)
-    return SectionData(measure, centroid, measure * centroid, SectionMethod.EXACT)
-
-
 def _clipped_polytope_volume(vertices, edges, x, t):
     """Volume of the polytope clipped to ``<x, y> >= t`` (hull of kept + crossings)."""
     d = vertices @ x
@@ -272,12 +226,11 @@ def _check_plane(K, H):
         raise BodyError("hyperplane and body dimensions differ")
 
 
-def cap_volume(K, H, mc_samples=MC_DEFAULT_SAMPLES, mc_seed=MC_DEFAULT_SEED):
+def cap_volume(K, H):
     """n-volume of ``{y in K : <direction, y> >= offset}``.
 
-    Exact for polytopes (n <= 4), closed form for balls and ellipsoids;
-    lp-balls and higher-dimensional polytopes use the Monte Carlo estimate
-    with the given (deterministic) sampling parameters.
+    Exact for polytopes in every dimension, closed form for balls and
+    ellipsoids; any other body raises ``UnsupportedRepresentation``.
     """
     _check_plane(K, H)
     x, t = H.direction, H.offset
@@ -286,7 +239,7 @@ def cap_volume(K, H, mc_samples=MC_DEFAULT_SAMPLES, mc_seed=MC_DEFAULT_SEED):
     if isinstance(K, Ellipsoid):
         # affine reduction: A^{-1/2} maps the unit ball onto K, the cap onto a ball cap
         return K.volume() * _ball_cap_fraction(t / K.support(x), K.dim)
-    if isinstance(K, (VPolytope, HPolytope)) and K.dim in EXACT_SECTION_DIMS:
+    if isinstance(K, (VPolytope, HPolytope)):
         verts, edges = _polytope_rep(K)
         support = float(np.max(verts @ x))
         if t >= support:
@@ -294,7 +247,7 @@ def cap_volume(K, H, mc_samples=MC_DEFAULT_SAMPLES, mc_seed=MC_DEFAULT_SEED):
         if t <= -support:
             return K.volume()
         return _clipped_polytope_volume(verts, edges, x, t)
-    return mc_cap_volume(K, H, mc_samples, mc_seed)[0]
+    raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
 
 
 def _polytope_rep(K):
@@ -308,9 +261,11 @@ def _polytope_rep(K):
     return vp.vertices, vp.edges
 
 
-def section(K, H, mc_samples=MC_DEFAULT_SAMPLES, mc_seed=MC_DEFAULT_SEED):
+def section(K, H):
     """Measure, centroid and moment of ``K ∩ H``.
 
+    Exact for polytopes in every dimension, closed form for balls and
+    ellipsoids; any other body raises ``UnsupportedRepresentation``.
     Degenerate sections (|offset| >= support) come back with measure 0 and an
     undefined centroid; callers must branch on ``SectionData.degenerate``.
     """
@@ -326,16 +281,10 @@ def section(K, H, mc_samples=MC_DEFAULT_SAMPLES, mc_seed=MC_DEFAULT_SEED):
     if isinstance(K, Ellipsoid):
         return _ellipsoid_section(K, x, t)
     if isinstance(K, (VPolytope, HPolytope)):
-        if K.dim not in EXACT_SECTION_DIMS:
-            return mc_section(K, H, samples=mc_samples, seed=mc_seed)
         if abs(t) >= K.support(x):
             return SectionData(0.0, None, None, SectionMethod.EXACT)
-        if isinstance(K, HPolytope):
-            return _hpolytope_section(K, H)
-        return _polytope_section(K.vertices, K.edges, H)
-    if isinstance(K, LpBall):
-        return mc_section(K, H, samples=mc_samples, seed=mc_seed)
-    raise BodyError(f"unsupported body type {type(K).__name__}")
+        return _polytope_section(*_polytope_rep(K), H)
+    raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
 
 def _ellipsoid_section(K, x, t):

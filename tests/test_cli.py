@@ -151,6 +151,15 @@ class TestSolve:
         )
         assert main(["solve", "--spec", str(bad), "--out-dir", str(tmp_path / "o")]) == 1
 
+    def test_lpball_outer_body_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "lp.spec"
+        spec.write_text("dimension = 2\nK.kind = lpball\nK.p = 3\nL.kind = ball\nL.radius = 0.5\n")
+        assert main(["solve", "--spec", str(spec), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mc_section" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCensus:
     def test_small_census(self, tmp_path, capsys):

@@ -50,6 +50,10 @@ class TestValidation:
         with pytest.raises(RejectedInstanceError):
             validate_instance(Ball(1.0, 2), Ball(0.99, 2), margin=0.1)
 
+    def test_rejects_lpball_outer(self):
+        with pytest.raises(RejectedInstanceError, match="mc_section"):
+            validate_instance(LpBall(3.0, 1.5, 2), Ball(0.5, 2))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(RejectedInstanceError):
             validate_instance(Ball(1.0, 3), Ball(0.5, 2))

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from capsec import sections
-from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube, sphere_net
+from capsec.bodies import (
+    Ball,
+    BodyError,
+    Ellipsoid,
+    HPolytope,
+    LpBall,
+    UnsupportedRepresentation,
+    VPolytope,
+    cube,
+)
 from capsec.sections import (
     Hyperplane,
     SectionMethod,
@@ -78,10 +88,12 @@ class TestCapVolume:
             Ellipsoid.from_semiaxes([1.0, 0.6, 0.4]),
             cube(0.9, 3),
             random_vpolytope(rng, 3),
+            cube(0.9, 5),
+            random_vpolytope(rng, 5),
         ]
         for K in bodies:
             for _ in range(5):
-                x = unit(rng.normal(size=3))
+                x = unit(rng.normal(size=K.dim))
                 t = float(rng.uniform(-0.8, 0.8)) * K.support(x)
                 v1 = cap_volume(K, Hyperplane(x, t))
                 v2 = cap_volume(K, Hyperplane(-x, -t))
@@ -150,17 +162,51 @@ class TestSection:
                 assert np.array_equal(a.centroid, -b.centroid)
 
     def test_hrep_and_vrep_paths_agree(self):
+        # H-polytopes against V-polytopes built from independently known vertices,
+        # so the vertex enumeration of the H-form is checked too
         rng = np.random.default_rng(9)
-        K_h = cube(1.0, 3)
-        K_v = VPolytope(K_h.vertices)
-        for _ in range(20):
-            x = unit(rng.normal(size=3))
-            t = float(rng.uniform(-0.9, 0.9))
-            a = section(K_h, Hyperplane(x, t))
-            b = section(K_v, Hyperplane(x, t))
-            assert a.measure == pytest.approx(b.measure, rel=1e-9)
-            if not a.degenerate:
-                assert a.centroid == pytest.approx(b.centroid, abs=1e-9)
+        w = 0.8
+        for dim in (2, 3, 4, 5):
+            signs = np.array(list(product([-1.0, 1.0], repeat=dim)))
+            pairs = [
+                (cube(w, dim), VPolytope(w * signs)),
+                (HPolytope(signs / np.sqrt(dim), np.full(len(signs), 1.0 / np.sqrt(dim))),
+                 VPolytope(np.vstack([np.eye(dim), -np.eye(dim)]))),
+            ]
+            for K_h, K_v in pairs:
+                assert K_h.volume() == pytest.approx(K_v.volume(), rel=1e-9)
+                for _ in range(10):
+                    x = unit(rng.normal(size=dim))
+                    t = float(rng.uniform(-0.9, 0.9)) * K_v.support(x)
+                    a = section(K_h, Hyperplane(x, t))
+                    b = section(K_v, Hyperplane(x, t))
+                    assert not b.degenerate
+                    assert a.measure == pytest.approx(b.measure, rel=1e-9)
+                    assert a.centroid == pytest.approx(b.centroid, abs=1e-9)
+                    assert cap_volume(K_h, Hyperplane(x, t)) == pytest.approx(
+                        cap_volume(K_v, Hyperplane(x, t)), rel=1e-9
+                    )
+
+
+class TestExactSlicingBeyondFourDimensions:
+    def test_axis_cube_sections_closed_form(self):
+        w = 0.7
+        for dim in (5, 6):
+            K = cube(w, dim)
+            e1 = np.eye(dim)[0]
+            for t in (0.0, 0.3, -0.55):
+                sec = section(K, Hyperplane(e1, t))
+                assert sec.method is SectionMethod.EXACT
+                assert sec.measure == pytest.approx((2 * w) ** (dim - 1), rel=1e-12)
+                assert sec.centroid == pytest.approx(t * e1, abs=1e-12)
+
+    def test_against_monte_carlo(self):
+        K = random_vpolytope(np.random.default_rng(51), 5)
+        x = unit([1.0, -0.5, 0.3, 0.8, -0.2])
+        H = Hyperplane(x, 0.25 * K.support(x))
+        exact = section(K, H)
+        est = mc_section(K, H, samples=10**6, seed=52)
+        assert abs(exact.measure - est.measure) <= 4 * est.stderr
 
 
 # Reference loops: one slice point per edge and one det per hull facet.  The
@@ -285,7 +331,7 @@ class TestDerivativeIdentities:
     def test_t_derivative_is_minus_measure(self):
         rng = np.random.default_rng(10)
         h = 1e-5
-        for dim in (2, 3, 4):
+        for dim in (2, 3, 4, 5):
             for K in self.bodies(rng, dim):
                 for _ in range(3):
                     x = unit(rng.normal(size=dim))
@@ -300,7 +346,7 @@ class TestDerivativeIdentities:
     def test_x_gradient_is_moment(self):
         rng = np.random.default_rng(11)
         h = 1e-5
-        for dim in (2, 3, 4):
+        for dim in (2, 3, 4, 5):
             for K in self.bodies(rng, dim):
                 x = unit(rng.normal(size=dim))
                 t = float(rng.uniform(0.1, 0.5)) * K.support(x)
@@ -344,10 +390,12 @@ class TestMonteCarlo:
         truth, _ = integrate.quad(lambda u: 2.0 * (1.0 - u**3) ** (1.0 / 3.0), t, 1.0)
         assert abs(est - truth) <= 3 * se
 
-    def test_lp_section_delegates_to_mc(self):
-        sec = section(LpBall(3.0, 1.0, 2), Hyperplane(np.array([1.0, 0.0]), 0.2))
-        assert sec.method is SectionMethod.MONTE_CARLO
-        assert sec.stderr is not None
+    def test_lp_section_and_cap_volume_unsupported(self):
+        K, H = LpBall(3.0, 1.0, 2), Hyperplane(np.array([1.0, 0.0]), 0.2)
+        with pytest.raises(UnsupportedRepresentation, match="mc_section"):
+            section(K, H)
+        with pytest.raises(UnsupportedRepresentation, match="mc_cap_volume"):
+            cap_volume(K, H)
 
     def test_empty_slab(self):
         H = Hyperplane(np.array([1.0, 0.0]), 0.999999)
