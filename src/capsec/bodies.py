@@ -14,7 +14,6 @@ import warnings
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.special import gammaln
 
@@ -489,7 +488,7 @@ def sphere_net(dim, size=None):
     return g[keep] / norms[keep, None]
 
 
-def contains_body(outer, inner, margin=0.0, net_size=None):
+def contains_body(outer, inner, margin=0.0):
     """Conservative test for ``inner + margin <= outer`` in support-function terms.
 
     Exact when the outer body is an H-polytope; otherwise checks a deterministic
@@ -507,15 +506,9 @@ def contains_body(outer, inner, margin=0.0, net_size=None):
         )
     dirs = np.vstack(
         [
-            sphere_net(outer.dim, net_size),
+            sphere_net(outer.dim),
             outer.extreme_directions(),
             inner.extreme_directions(),
         ]
     )
-    if isinstance(inner, VPolytope):
-        # support of inner is a max over vertices; check each vertex separately
-        for u in dirs:
-            if np.max(inner.vertices @ u) > outer.support(u) - margin:
-                return False
-        return True
     return all(inner.support(u) <= outer.support(u) - margin for u in dirs)

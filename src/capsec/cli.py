@@ -152,7 +152,7 @@ def cmd_census(args):
                     "pair_count": len(report.pairs),
                     "min_residual": f"{min((p.residual for p in report.pairs), default=float('nan')):.3g}",
                     "certified": report.certified,
-                    "budget_exhausted": report.budget_exhausted,
+                    "budget_exhausted": not report.certified,
                     "degenerate_continuum": report.degenerate_continuum,
                     "wall_time_s": f"{elapsed:.3f}",
                 }

@@ -63,7 +63,7 @@ def report_to_dict(K, L, report, seed):
             for p in report.pairs
         ],
         "certified": bool(report.certified),
-        "budget_exhausted": bool(report.budget_exhausted),
+        "budget_exhausted": not report.certified,
         "degenerate_continuum": bool(report.degenerate_continuum),
         "continuum_justification": report.continuum_justification,
         "diagnostics": {

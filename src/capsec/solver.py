@@ -21,6 +21,7 @@ from .functional import (
     evaluate,
     validate_instance,
 )
+from .reporting import _round
 from .sections import Hyperplane, cap_volume, hyperplane_chart
 
 __all__ = [
@@ -32,30 +33,27 @@ __all__ = [
     "certify",
 ]
 
-MODES = ("descent", "ascent", "both")
 CONTINUUM_F_SPREAD = 1e-10
 CONTINUUM_FRACTION = 0.9
+GRADIENT_MAX_ITERS = 500
+STEP_INIT = 0.1
 POLISH_TRIGGER = 1e-3  # residual below which the gradient stage hands over
-CLASSIFY_PROBE_RADIUS = 1e-3
+FD_STEP = 1e-6  # central-difference step of the residual Jacobian
+FLAT_EIGENVALUE = 1e-6  # eigenvalues of sym(Q^T J) below this times diam(K) count as zero
 
 
 @dataclass
 class SolverConfig:
     starts: int | None = None  # default 64 * n, resolved at solve time
-    max_iters: int = 500
-    step_init: float = 0.1
     residual_tol: float = 1e-7
     dedup_angle: float = 1e-2
     seed: int = 0
-    mode: str = "both"
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise BodyError("residual_tol must be positive")
         if self.dedup_angle <= 0:
             raise BodyError("dedup_angle must be positive")
-        if self.mode not in MODES:
-            raise BodyError(f"mode must be one of {MODES}")
 
     def resolved_starts(self, dim):
         m = 64 * dim if self.starts is None else self.starts
@@ -81,11 +79,13 @@ class CriticalPair:
 class TheoremReport:
     dimension: int
     pairs: list[CriticalPair]
-    certified: bool
-    budget_exhausted: bool
     degenerate_continuum: bool = False
     continuum_justification: str | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def certified(self):
+        return certify(self, self.dimension)
 
 
 def _canonical(z, tol=1e-9):
@@ -115,18 +115,18 @@ def _residual_vector(K, L, z, margin):
     return sec.centroid - touch
 
 
-def _f_value(K, L, z, margin):
+def _f_value(K, L, z):
     t = L.support(z)
     return cap_volume(K, Hyperplane(z, t))
 
 
-def _gradient_stage(K, L, z, sign, cfg, margin, stats, trace=None):
+def _gradient_stage(K, L, z, sign, margin, stats, trace=None):
     """Projected gradient with normalization retraction and Armijo backtracking.
 
     ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).
     ``trace``, if given, records the objective value at each accepted iterate.
     """
-    step = cfg.step_init
+    step = STEP_INIT
     try:
         ev = evaluate(K, L, z, margin=margin)
     except DegenerateSectionError:
@@ -134,7 +134,7 @@ def _gradient_stage(K, L, z, sign, cfg, margin, stats, trace=None):
         return z
     if trace is not None:
         trace.append(ev.f_value)
-    for _ in range(cfg.max_iters):
+    for _ in range(GRADIENT_MAX_ITERS):
         if ev.residual < POLISH_TRIGGER:
             break
         g = sign * ev.tangential_gradient
@@ -160,14 +160,30 @@ def _gradient_stage(K, L, z, sign, cfg, margin, stats, trace=None):
         if not accepted:
             break
         z, ev = z_new, ev_new
-        step = min(2.0 * s, cfg.step_init)
+        step = min(2.0 * s, STEP_INIT)
         stats["iterations"] += 1
         if trace is not None:
             trace.append(ev.f_value)
     return z
 
 
-def _polish(K, L, z, tol, margin, stats, max_iters=30, fd_step=1e-6):
+def _residual_jacobian(K, L, z, margin):
+    """Tangent chart Q at z and the central-difference Jacobian J of centroid - touch point in it.
+
+    At a critical direction the Hessian of f in the chart is ``measure * Q^T J``.
+    """
+    Q = hyperplane_chart(z)
+    J = np.empty((K.dim, Q.shape[1]))
+    for j in range(Q.shape[1]):
+        zp = z + FD_STEP * Q[:, j]
+        zm = z - FD_STEP * Q[:, j]
+        rp = _residual_vector(K, L, zp / np.linalg.norm(zp), margin)
+        rm = _residual_vector(K, L, zm / np.linalg.norm(zm), margin)
+        J[:, j] = (rp - rm) / (2.0 * FD_STEP)
+    return Q, J
+
+
+def _polish(K, L, z, tol, margin, stats, max_iters=30):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart."""
     try:
         r = _residual_vector(K, L, z, margin)
@@ -178,16 +194,8 @@ def _polish(K, L, z, tol, margin, stats, max_iters=30, fd_step=1e-6):
     for _ in range(max_iters):
         if rn <= 0.25 * tol:
             break
-        Q = hyperplane_chart(z)
-        k = Q.shape[1]
-        J = np.empty((K.dim, k))
         try:
-            for j in range(k):
-                zp = z + fd_step * Q[:, j]
-                zm = z - fd_step * Q[:, j]
-                rp = _residual_vector(K, L, zp / np.linalg.norm(zp), margin)
-                rm = _residual_vector(K, L, zm / np.linalg.norm(zm), margin)
-                J[:, j] = (rp - rm) / (2.0 * fd_step)
+            Q, J = _residual_jacobian(K, L, z, margin)
         except DegenerateSectionError:
             stats["degenerate_rejections"] += 1
             return z, rn
@@ -213,35 +221,28 @@ def _polish(K, L, z, tol, margin, stats, max_iters=30, fd_step=1e-6):
     return z, rn
 
 
-def _classify(K, L, z, f0, margin, vol_k):
-    Q = hyperplane_chart(z)
-    tol = 1e-12 * vol_k
-    diffs = []
-    for j in range(Q.shape[1]):
-        for s in (+1.0, -1.0):
-            zp = z + s * CLASSIFY_PROBE_RADIUS * Q[:, j]
-            zp /= np.linalg.norm(zp)
-            try:
-                diffs.append(_f_value(K, L, zp, margin) - f0)
-            except (DegenerateSectionError, RejectedInstanceError):
-                return "unclassified"
-    diffs = np.array(diffs)
-    pos, neg = diffs > tol, diffs < -tol
-    if pos.all():
+def _classify(K, L, z, margin):
+    """Morse type of a critical direction from the eigenvalues of sym(Q^T J)."""
+    try:
+        Q, J = _residual_jacobian(K, L, z, margin)
+    except (DegenerateSectionError, RejectedInstanceError):
+        return "unclassified"
+    H = Q.T @ J
+    eig = np.linalg.eigvalsh(0.5 * (H + H.T))
+    if np.any(np.abs(eig) <= FLAT_EIGENVALUE * K.diameter()):
+        return "unclassified"
+    if np.all(eig > 0):
         return "min"
-    if neg.all():
+    if np.all(eig < 0):
         return "max"
-    if pos.any() and neg.any():
-        return "saddle"
-    return "unclassified"
+    return "saddle"
 
 
 def solve(K, L, config=None):
     """Locate antipodal critical pairs of the cap-volume objective for (K, L).
 
     Deterministic for fixed inputs and seed.  Never fabricates: if no start
-    reaches the residual tolerance, the report is empty with
-    ``budget_exhausted=True``.
+    reaches the residual tolerance, the report is empty and not certified.
     """
     cfg = config or SolverConfig()
     validate_instance(K, L)
@@ -252,25 +253,19 @@ def solve(K, L, config=None):
     starts = _start_directions(n, count, cfg.seed)
     stats = {"iterations": 0, "degenerate_rejections": 0}
 
-    if cfg.mode == "both":
-        assignments = ["descent", "ascent", "polish"]
-    else:
-        assignments = [cfg.mode, "polish"]
-
+    # starts cycle through descent, ascent and polish only
     candidates = []
-    for i, z0 in enumerate(starts):
-        task = assignments[i % len(assignments)]
-        z = z0
-        if task == "descent":
-            z = _gradient_stage(K, L, z, +1.0, cfg, margin, stats)
-        elif task == "ascent":
-            z = _gradient_stage(K, L, z, -1.0, cfg, margin, stats)
+    for i, z in enumerate(starts):
+        if i % 3 == 0:
+            z = _gradient_stage(K, L, z, +1.0, margin, stats)
+        elif i % 3 == 1:
+            z = _gradient_stage(K, L, z, -1.0, margin, stats)
         z, res = _polish(K, L, z, cfg.residual_tol, margin, stats)
         if res <= cfg.residual_tol:
             candidates.append((_canonical(z), res))
 
     # objective values at all converged candidates (used for the continuum test)
-    cand_f = np.array([_f_value(K, L, z, margin) for z, _ in candidates])
+    cand_f = np.array([_f_value(K, L, z) for z, _ in candidates])
 
     degenerate_continuum = False
     justification = None
@@ -306,7 +301,7 @@ def solve(K, L, config=None):
     pairs = []
     for z, res, fv, basin in clusters:
         ev = evaluate(K, L, z, margin=margin, with_value=False)
-        kind = _classify(K, L, z, fv, margin, vol_k)
+        kind = _classify(K, L, z, margin)
         pairs.append(
             CriticalPair(
                 direction=z,
@@ -318,9 +313,9 @@ def solve(K, L, config=None):
                 basin_count=basin,
             )
         )
-    pairs.sort(key=lambda p: (p.f_value, tuple(p.direction)))
+    # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
+    pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 
-    certified = degenerate_continuum or len(pairs) >= n
     stats.update(
         starts=count,
         converged=len(candidates),
@@ -330,8 +325,6 @@ def solve(K, L, config=None):
     return TheoremReport(
         dimension=n,
         pairs=pairs,
-        certified=certified,
-        budget_exhausted=not certified,
         degenerate_continuum=degenerate_continuum,
         continuum_justification=justification,
         diagnostics=stats,

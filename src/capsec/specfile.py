@@ -106,12 +106,9 @@ def _build_body(prefix, fields, dim):
 
 _SOLVER_FIELDS = {
     "starts": int,
-    "max_iters": int,
-    "step_init": float,
     "residual_tol": float,
     "dedup_angle": float,
     "seed": int,
-    "mode": str,
 }
 
 

@@ -121,6 +121,15 @@ class TestContainsBody:
         assert contains_body(outer, inner, margin=0.05)
         assert not contains_body(outer, inner, margin=0.15)
 
+    def test_hexagon_in_disk(self):
+        theta = np.pi / 3 * np.arange(6) + 0.1
+        hexagon = VPolytope(0.9 * np.column_stack([np.cos(theta), np.sin(theta)]))
+        # the vertices sit at radius 0.9, so the support gap is 0.1
+        assert contains_body(Ball(1.0, 2), hexagon)
+        assert contains_body(Ball(1.0, 2), hexagon, margin=0.05)
+        assert not contains_body(Ball(1.0, 2), hexagon, margin=0.15)
+        assert not contains_body(Ball(0.85, 2), hexagon)
+
     def test_margin_validation(self):
         with pytest.raises(BodyError):
             contains_body(Ball(1.0, 2), Ball(0.5, 2), margin=-1.0)

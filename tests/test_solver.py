@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, VPolytope, cube
+from capsec.families import random_instance
 from capsec.functional import RejectedInstanceError
 from capsec.solver import (
     CriticalPair,
@@ -21,10 +24,6 @@ class TestConfig:
     def test_defaults_resolve(self):
         cfg = SolverConfig()
         assert cfg.resolved_starts(3) == 192
-
-    def test_invalid_mode(self):
-        with pytest.raises(BodyError):
-            SolverConfig(mode="sideways")
 
     def test_invalid_tolerances(self):
         with pytest.raises(BodyError):
@@ -59,7 +58,6 @@ class TestEllipsoidInBall:
 
     def test_certified(self, report):
         assert report.certified
-        assert not report.budget_exhausted
         assert certify(report, 3)
 
     def test_kinds(self, report):
@@ -82,6 +80,38 @@ class TestEllipsoidInBall:
         for p in report.pairs:
             nz = p.direction[np.abs(p.direction) > 1e-9]
             assert nz[0] > 0
+
+
+class TestMorseIndex:
+    """Pair kinds come from the index of the residual Jacobian.  These census
+    draws have saddles whose Hessian diagonal in the tangent chart has one
+    sign, so axis probes alone would call them minima or maxima."""
+
+    @pytest.mark.parametrize("seed", [101, 112, 118])
+    def test_census_pairs_satisfy_euler_characteristic(self, seed):
+        K, L = random_instance("ellipsoid_in_polytope", 3, seed)
+        report = solve(K, L, SolverConfig(starts=32 * 3, seed=seed))
+        kinds = [p.kind for p in report.pairs]
+        assert {"min", "saddle", "max"} <= set(kinds)
+        # index 0 and 2 count +1, index 1 counts -1: chi(RP^2) = 1
+        assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 1
+
+
+class TestPairOrder:
+    """Pairs that tie in f by symmetry keep their order when last bits change."""
+
+    @pytest.mark.parametrize(
+        "L", [Ball(0.5, 3), Ellipsoid.from_semiaxes([0.6, 0.5, 0.4])], ids=["ball", "ellipsoid"]
+    )
+    def test_h_and_v_cube_give_the_same_order(self, L):
+        V = VPolytope(np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
+        cfg = SolverConfig(starts=96, seed=0)
+        h_pairs = solve(cube(1.0, 3), L, cfg).pairs
+        v_pairs = solve(V, L, cfg).pairs
+        assert len(h_pairs) == len(v_pairs)
+        for p, q in zip(h_pairs, v_pairs):
+            assert angle(p.direction, q.direction) < 1e-6
+            assert p.kind == q.kind
 
 
 class TestContinuum:
@@ -138,22 +168,21 @@ class TestMonotonicity:
 
         K = cube(1.0, 2)
         L = Ellipsoid.from_semiaxes([0.7, 0.3])
-        cfg = SolverConfig()
         stats = {"iterations": 0, "degenerate_rejections": 0}
         rng = np.random.default_rng(20)
         for _ in range(5):
             z0 = rng.normal(size=2)
             z0 /= np.linalg.norm(z0)
             trace = []
-            _gradient_stage(K, L, z0, +1.0, cfg, default_margin(K), stats, trace=trace)
+            _gradient_stage(K, L, z0, +1.0, default_margin(K), stats, trace=trace)
             assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
             trace = []
-            _gradient_stage(K, L, z0, -1.0, cfg, default_margin(K), stats, trace=trace)
+            _gradient_stage(K, L, z0, -1.0, default_margin(K), stats, trace=trace)
             assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
 
 
 class TestCertify:
-    def make_report(self, npairs, dim, exhausted=False, continuum=False):
+    def make_report(self, npairs, dim, continuum=False):
         pairs = [
             CriticalPair(
                 direction=np.eye(dim)[i % dim],
@@ -167,19 +196,20 @@ class TestCertify:
         return TheoremReport(
             dimension=dim,
             pairs=pairs,
-            certified=continuum or npairs >= dim,
-            budget_exhausted=exhausted,
             degenerate_continuum=continuum,
         )
 
     def test_enough_pairs(self):
-        assert certify(self.make_report(3, 3), 3)
+        report = self.make_report(3, 3)
+        assert certify(report, 3) and report.certified
 
     def test_too_few_pairs(self):
-        assert not certify(self.make_report(2, 3, exhausted=True), 3)
+        report = self.make_report(2, 3)
+        assert not certify(report, 3) and not report.certified
 
     def test_continuum_counts(self):
-        assert certify(self.make_report(0, 3, exhausted=True, continuum=True), 3)
+        report = self.make_report(0, 3, continuum=True)
+        assert certify(report, 3) and report.certified
 
 
 class TestValidationUpfront:

@@ -128,8 +128,13 @@ class TestErrors:
         assert "solver.warp" in msg
 
     def test_invalid_solver_value(self):
-        msg = self.error_message(BASIC + "\nsolver.max_iters = many\n")
-        assert "solver.max_iters" in msg
+        msg = self.error_message(BASIC.replace("solver.starts = 64", "solver.starts = many"))
+        assert "field solver.starts:" in msg
+
+    @pytest.mark.parametrize("key", ["max_iters", "step_init", "mode"])
+    def test_fixed_solver_settings_are_refused(self, key):
+        msg = self.error_message(BASIC + f"\nsolver.{key} = 1\n")
+        assert f"solver.{key}: unknown solver option" in msg
 
     def test_body_error_becomes_spec_error(self):
         # asymmetric vertex set
