@@ -11,11 +11,12 @@ import csv
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bodies import Ball, Ellipsoid, cube
+from .bodies import Ball, BodyError, Ellipsoid, cube
 from .families import FAMILIES, random_instance
 from .functional import RejectedInstanceError, evaluate, fd_tangential_gradient, validate_instance
 from .reporting import dump_report
@@ -114,6 +115,12 @@ def cmd_solve(args):
 def cmd_census(args):
     if args.family not in FAMILIES:
         return _fail(f"unknown family {args.family}")
+    options = {"starts": args.starts, "residual_tol": args.residual_tol}
+    try:
+        config = SolverConfig(**{k: v for k, v in options.items() if v is not None})
+        config.resolved_starts(args.dimension)
+    except BodyError as exc:
+        return _fail(str(exc))
     fieldnames = [
         "index",
         "family",
@@ -123,11 +130,12 @@ def cmd_census(args):
         "certified",
         "budget_exhausted",
         "degenerate_continuum",
+        "euler_sum",
         "wall_time_s",
     ]
     seeds = np.random.SeedSequence(args.seed).generate_state(max(args.instances, 1))
     all_certified = True
-    min_pairs, pair_counts = None, []
+    pair_counts = []
     out = open(args.out, "w", newline="") if args.out != "-" else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
@@ -135,15 +143,11 @@ def cmd_census(args):
         for i in range(args.instances):
             t0 = time.perf_counter()
             K, L = random_instance(args.family, args.dimension, int(seeds[i]))
-            config = SolverConfig(
-                seed=int(seeds[i]),
-                starts=args.starts,
-                residual_tol=args.residual_tol if args.residual_tol else 1e-7,
-            )
-            report = solve(K, L, config)
+            report = solve(K, L, replace(config, seed=int(seeds[i])))
             elapsed = time.perf_counter() - t0
             pair_counts.append(len(report.pairs))
             all_certified &= report.certified
+            indices = [p.morse_index for p in report.pairs]
             writer.writerow(
                 {
                     "index": i,
@@ -154,6 +158,10 @@ def cmd_census(args):
                     "certified": report.certified,
                     "budget_exhausted": not report.certified,
                     "degenerate_continuum": report.degenerate_continuum,
+                    # Morse alternating sum; chi(RP^{n-1}) when every critical pair was found
+                    "euler_sum": ""
+                    if not indices or None in indices
+                    else sum((-1) ** k for k in indices),
                     "wall_time_s": f"{elapsed:.3f}",
                 }
             )
@@ -179,7 +187,7 @@ def cmd_fixtures(args):
             f"offset {args.offset} must lie in (0, inradius {K1.inradius_lower_bound():g}) of K"
         )
     report1 = solve(K1, Ball(args.offset, n), SolverConfig(seed=args.seed))
-    if len(report1.pairs) < n and not report1.degenerate_continuum:
+    if not report1.certified:
         violations.append(f"fixed-distance fixture: only {len(report1.pairs)} pairs, need {n}")
     for p in report1.pairs:
         dev = float(np.linalg.norm(p.centroid - args.offset * p.direction))
@@ -196,7 +204,7 @@ def cmd_fixtures(args):
     # orthogonal tangency: K a ball, L a strictly convex body
     semiaxes = np.linspace(0.6, 0.4, n)
     report2 = solve(Ball(args.ball_radius, n), Ellipsoid.from_semiaxes(semiaxes), SolverConfig(seed=args.seed))
-    if len(report2.pairs) < n and not report2.degenerate_continuum:
+    if not report2.certified:
         violations.append(f"orthogonal-tangency fixture: only {len(report2.pairs)} pairs, need {n}")
     worst = 0.0
     for p in report2.pairs:

@@ -33,8 +33,7 @@ __all__ = [
     "certify",
 ]
 
-CONTINUUM_F_SPREAD = 1e-10
-CONTINUUM_FRACTION = 0.9
+DEDUP_ANGLE = 1e-3  # projective angle (rad) within which converged directions are one pair
 GRADIENT_MAX_ITERS = 500
 STEP_INIT = 0.1
 POLISH_TRIGGER = 1e-3  # residual below which the gradient stage hands over
@@ -46,14 +45,11 @@ FLAT_EIGENVALUE = 1e-6  # eigenvalues of sym(Q^T J) below this times diam(K) cou
 class SolverConfig:
     starts: int | None = None  # default 64 * n, resolved at solve time
     residual_tol: float = 1e-7
-    dedup_angle: float = 1e-2
     seed: int = 0
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise BodyError("residual_tol must be positive")
-        if self.dedup_angle <= 0:
-            raise BodyError("dedup_angle must be positive")
 
     def resolved_starts(self, dim):
         m = 64 * dim if self.starts is None else self.starts
@@ -72,6 +68,7 @@ class CriticalPair:
     centroid: np.ndarray
     touch_point: np.ndarray
     kind: str = "unclassified"
+    morse_index: int | None = None  # negative eigenvalues of sym(Q^T J); None when unclassified
     basin_count: int = 1
 
 
@@ -222,20 +219,21 @@ def _polish(K, L, z, tol, margin, stats, max_iters=30):
 
 
 def _classify(K, L, z, margin):
-    """Morse type of a critical direction from the eigenvalues of sym(Q^T J)."""
+    """Morse type and index of a critical direction from the eigenvalues of sym(Q^T J)."""
     try:
         Q, J = _residual_jacobian(K, L, z, margin)
     except (DegenerateSectionError, RejectedInstanceError):
-        return "unclassified"
+        return "unclassified", None
     H = Q.T @ J
     eig = np.linalg.eigvalsh(0.5 * (H + H.T))
     if np.any(np.abs(eig) <= FLAT_EIGENVALUE * K.diameter()):
-        return "unclassified"
-    if np.all(eig > 0):
-        return "min"
-    if np.all(eig < 0):
-        return "max"
-    return "saddle"
+        return "unclassified", None
+    index = int(np.count_nonzero(eig < 0))
+    if index == 0:
+        return "min", index
+    if index == len(eig):
+        return "max", index
+    return "saddle", index
 
 
 def solve(K, L, config=None):
@@ -248,7 +246,6 @@ def solve(K, L, config=None):
     validate_instance(K, L)
     n = K.dim
     margin = default_margin(K)
-    vol_k = K.volume()
     count = cfg.resolved_starts(n)
     starts = _start_directions(n, count, cfg.seed)
     stats = {"iterations": 0, "degenerate_rejections": 0}
@@ -264,80 +261,66 @@ def solve(K, L, config=None):
         if res <= cfg.residual_tol:
             candidates.append((_canonical(z), res))
 
-    # objective values at all converged candidates (used for the continuum test)
-    cand_f = np.array([_f_value(K, L, z) for z, _ in candidates])
-
-    degenerate_continuum = False
-    justification = None
-    if len(candidates) >= 2:
-        spread_tol = CONTINUUM_F_SPREAD * vol_k
-        fs = np.sort(cand_f)
-        best_window = 0
-        for i in range(len(fs)):
-            j = int(np.searchsorted(fs, fs[i] + spread_tol, side="right"))
-            best_window = max(best_window, j - i)
-        if best_window >= CONTINUUM_FRACTION * len(fs):
-            degenerate_continuum = True
-            justification = (
-                f"f constant within {CONTINUUM_F_SPREAD:g}*vol(K) across "
-                f"{best_window}/{len(fs)} converged candidates"
-            )
-
     # cluster candidates by projective geodesic distance
-    clusters = []  # (direction, residual, f, count)
+    clusters = []  # (direction, residual, count)
     merges = 0
-    order = np.argsort([r for _, r in candidates], kind="stable")
-    for idx in order:
+    for idx in np.argsort([r for _, r in candidates], kind="stable"):
         z, res = candidates[idx]
-        fv = cand_f[idx]
         for c in clusters:
-            if _projective_angle(z, c[0]) <= cfg.dedup_angle:
-                c[3] += 1
+            if _projective_angle(z, c[0]) <= DEDUP_ANGLE:
+                c[2] += 1
                 merges += 1
                 break
         else:
-            clusters.append([z, res, fv, 1])
+            clusters.append([z, res, 1])
 
     pairs = []
-    for z, res, fv, basin in clusters:
+    for z, res, basin in clusters:
         ev = evaluate(K, L, z, margin=margin, with_value=False)
-        kind = _classify(K, L, z, margin)
+        kind, index = _classify(K, L, z, margin)
         pairs.append(
             CriticalPair(
                 direction=z,
-                f_value=float(fv),
+                f_value=float(_f_value(K, L, z)),
                 residual=float(res),
                 centroid=ev.section.centroid,
                 touch_point=ev.touch_point,
                 kind=kind,
+                morse_index=index,
                 basin_count=basin,
             )
         )
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
     pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 
+    flat = sum(p.kind == "unclassified" for p in pairs)
+    justification = (
+        f"{flat}/{len(pairs)} pairs have a flat eigenvalue of sym(Q^T J) or a degenerate section"
+        if flat
+        else None
+    )
+    fs = [p.f_value for p in pairs]
     stats.update(
         starts=count,
         converged=len(candidates),
         dedup_merges=merges,
-        f_spread=float(cand_f.max() - cand_f.min()) if len(cand_f) else None,
+        f_spread=max(fs) - min(fs) if fs else None,
     )
     return TheoremReport(
         dimension=n,
         pairs=pairs,
-        degenerate_continuum=degenerate_continuum,
+        degenerate_continuum=bool(flat),
         continuum_justification=justification,
         diagnostics=stats,
     )
 
 
 def certify(report, dim):
-    """True iff the report establishes at least ``dim`` distinct antipodal pairs.
+    """True iff the report holds at least ``dim`` distinct antipodal pairs.
 
-    A flagged degenerate continuum counts as >= dim pairs (it contains
-    infinitely many); otherwise the distinct pair count alone decides.
+    The count alone decides; ``degenerate_continuum`` only describes the pairs.
     """
-    return report.degenerate_continuum or len(report.pairs) >= dim
+    return len(report.pairs) >= dim
 
 
 # --- exhaustive low-dimensional oracle --------------------------------------

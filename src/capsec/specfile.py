@@ -107,7 +107,6 @@ def _build_body(prefix, fields, dim):
 _SOLVER_FIELDS = {
     "starts": int,
     "residual_tol": float,
-    "dedup_angle": float,
     "seed": int,
 }
 
@@ -169,6 +168,7 @@ def parse_instance_spec(text, overrides=None):
             raise SpecError(f"field solver.{name}: {exc}") from exc
     try:
         config = SolverConfig(**solver_kwargs)
+        config.resolved_starts(dim)
     except BodyError as exc:
         raise SpecError(str(exc)) from exc
 

@@ -134,7 +134,7 @@ def test_solver_matches_exhaustive_grid(verdict):
     mismatches = []
     for seed in range(200, 220):
         K, L = random_instance("ellipsoid_in_polytope", 2, seed)
-        report = solve(K, L, SolverConfig(starts=256, dedup_angle=1e-3, seed=seed))
+        report = solve(K, L, SolverConfig(starts=256, seed=seed))
         census = grid_census(K, L, resolution=10_000)
         if len(report.pairs) != len(census):
             mismatches.append(f"seed {seed}: {len(report.pairs)} vs {len(census)}")

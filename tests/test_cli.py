@@ -161,6 +161,43 @@ class TestSolve:
         assert not (tmp_path / "o").exists()
 
 
+CUBE_3D = """
+dimension = 3
+K.kind = cube
+K.halfwidth = 1.0
+L.kind = ball
+L.radius = 0.5
+"""
+
+
+class TestSolverOptionErrors:
+    """Bad solver options stop before any solve, with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--residual-tol", "0"],
+            ["census", "--residual-tol", "-1"],
+            ["census", "--dimension", "3", "--starts", "2"],
+            ["solve", "--starts", "2"],
+        ],
+        ids=["census-zero-tol", "census-negative-tol", "census-few-starts", "solve-few-starts"],
+    )
+    def test_refused(self, argv, tmp_path, capsys):
+        spec = tmp_path / "cube.spec"
+        spec.write_text(CUBE_3D)
+        out = tmp_path / "out"
+        if argv[0] == "solve":
+            argv = argv + ["--spec", str(spec), "--out-dir", str(out)]
+        else:
+            argv = argv + ["--instances", "1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCensus:
     def test_small_census(self, tmp_path, capsys):
         out = tmp_path / "census.csv"
@@ -188,6 +225,7 @@ class TestCensus:
             assert row["certified"] == "True"
             assert int(row["pair_count"]) >= 2
             assert float(row["min_residual"]) <= 1e-7
+            assert row["euler_sum"] == "0"  # chi(RP^1)
         assert "min pairs" in capsys.readouterr().out
 
     def test_zero_instances(self, tmp_path):

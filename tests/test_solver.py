@@ -28,8 +28,6 @@ class TestConfig:
     def test_invalid_tolerances(self):
         with pytest.raises(BodyError):
             SolverConfig(residual_tol=0.0)
-        with pytest.raises(BodyError):
-            SolverConfig(dedup_angle=-1.0)
 
     def test_too_few_starts(self):
         with pytest.raises(BodyError):
@@ -96,6 +94,23 @@ class TestMorseIndex:
         # index 0 and 2 count +1, index 1 counts -1: chi(RP^2) = 1
         assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 1
 
+    def test_index_sum_in_four_dimensions(self):
+        # index 1 and 2 are both saddles here, so the sum needs the index itself
+        K, L = random_instance("ellipsoid_in_polytope", 4, 100)
+        report = solve(K, L, SolverConfig(starts=32 * 4, seed=100))
+        indices = [p.morse_index for p in report.pairs]
+        assert None not in indices
+        assert sum((-1) ** k for k in indices) == 0  # chi(RP^3)
+
+
+class TestDedup:
+    def test_close_min_and_max_stay_apart(self):
+        # a min and a max 0.0063 rad apart; on RP^1 minima and maxima alternate
+        K, L = random_instance("ellipsoid_in_polytope", 2, 106)
+        report = solve(K, L, SolverConfig(starts=64, seed=106))
+        kinds = sorted(p.kind for p in report.pairs)
+        assert kinds == ["max", "max", "min", "min"]
+
 
 class TestPairOrder:
     """Pairs that tie in f by symmetry keep their order when last bits change."""
@@ -119,8 +134,19 @@ class TestContinuum:
         report = solve(Ball(1.0, 3), Ball(0.4, 3), SolverConfig(starts=48, seed=2))
         assert report.degenerate_continuum
         assert report.certified
-        assert "constant" in report.continuum_justification
+        m = len(report.pairs)
+        assert report.continuum_justification.startswith(f"{m}/{m} pairs have a flat eigenvalue")
+        assert all(p.kind == "unclassified" and p.morse_index is None for p in report.pairs)
         assert certify(report, 3)
+
+    def test_isolated_lp_minima_are_not_a_continuum(self):
+        # four symmetric minima share one f value; each is a nondegenerate critical point
+        K, L = random_instance("lp_in_ball", 3, 2)
+        report = solve(K, L, SolverConfig(starts=192, seed=2))
+        assert not report.degenerate_continuum
+        assert report.continuum_justification is None
+        assert len(report.pairs) == 4
+        assert report.certified
 
 
 class TestSquareAndDisk:
@@ -208,8 +234,9 @@ class TestCertify:
         assert not certify(report, 3) and not report.certified
 
     def test_continuum_counts(self):
+        # the continuum flag describes the pairs; only their count certifies
         report = self.make_report(0, 3, continuum=True)
-        assert certify(report, 3) and report.certified
+        assert not certify(report, 3) and not report.certified
 
 
 class TestValidationUpfront:
