@@ -2,9 +2,10 @@
 
 Five closed-form representations are supported: Euclidean balls, ellipsoids
 ``{x : x^T A x <= 1}``, lp-balls, H-polytopes (facet normals and offsets) and
-V-polytopes (vertex lists).  All bodies are centrally symmetric; the polytope
-constructors enforce this structurally by requiring normals / vertices to be
-closed under negation.
+V-polytopes (vertex lists).  An H-polytope enumerates its vertices once at
+construction and is a V-polytope that keeps its own facets.  All bodies are
+centrally symmetric; the polytope constructors enforce this structurally by
+requiring normals / vertices to be closed under negation.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def _as_vector(u, dim, name="u"):
     if u.shape != (dim,):
         raise BodyError(f"{name} has shape {u.shape}, expected ({dim},)")
     return u
+
+
+def _first_line(exc):
+    """qhull errors run to many lines; the first names the failure."""
+    return str(exc).partition("\n")[0]
 
 
 def _require_nonzero(u, name="u"):
@@ -291,78 +297,6 @@ class LpBall(ConvexBody):
         return LpBall(self.p, self.scale * factor, self.dim)
 
 
-class HPolytope(ConvexBody):
-    """Intersection of halfspaces ``<n_i, x> <= b_i`` with unit normals closed under negation."""
-
-    strictly_convex = False
-
-    def __init__(self, normals, offsets):
-        N = np.asarray(normals, dtype=float)
-        b = np.asarray(offsets, dtype=float)
-        if N.ndim != 2 or N.shape[0] != b.shape[0]:
-            raise BodyError("normals and offsets must have matching first dimension")
-        if N.shape[1] < 2:
-            raise BodyError("dimension must be >= 2")
-        if np.any(b <= 0):
-            raise BodyError("all offsets must be positive (origin interior)")
-        norms = np.linalg.norm(N, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise BodyError("facet normals must be unit vectors")
-        self.normals = N
-        self.offsets = b
-        self.dim = N.shape[1]
-        self._check_symmetry()
-
-    def _check_symmetry(self):
-        rows = np.hstack([self.normals, self.offsets[:, None]])
-        neg = np.hstack([-self.normals, self.offsets[:, None]])
-        for r in rows:
-            if not np.any(np.all(np.abs(neg - r) < _SYMMETRY_TOL, axis=1)):
-                raise BodyError("facet list is not closed under negation")
-
-    def __repr__(self):
-        return f"HPolytope(facets={len(self.offsets)}, dim={self.dim})"
-
-    @cached_property
-    def vertices(self):
-        """Enumerated vertices (cached); requires boundedness."""
-        hs = np.hstack([self.normals, -self.offsets[:, None]])
-        try:
-            hi = HalfspaceIntersection(hs, np.zeros(self.dim))
-        except Exception as exc:  # qhull reports unbounded regions this way
-            raise BodyError(f"halfspace intersection failed (unbounded?): {exc}") from exc
-        pts = hi.intersections
-        hull = ConvexHull(pts)
-        return pts[hull.vertices]
-
-    def support(self, u):
-        u = _as_vector(u, self.dim)
-        _require_nonzero(u)
-        return float(np.max(self.vertices @ u))
-
-    def gauge(self, y):
-        # facet list is closed under negation, so |.| is exact and makes
-        # gauge(y) == gauge(-y) bitwise
-        y = _as_vector(y, self.dim, "y")
-        return float(np.max(np.abs(self.normals @ y) / self.offsets))
-
-    def _contains(self, pts):
-        return np.all(pts @ self.normals.T <= self.offsets[None, :], axis=1)
-
-    def volume(self):
-        return float(ConvexHull(self.vertices).volume)
-
-    def extreme_directions(self):
-        vn = self.vertices / np.linalg.norm(self.vertices, axis=1, keepdims=True)
-        return np.vstack([self.normals, vn])
-
-    def inradius_lower_bound(self):
-        return float(self.offsets.min())
-
-    def scaled(self, factor):
-        return HPolytope(self.normals, self.offsets * factor)
-
-
 class VPolytope(ConvexBody):
     """Convex hull of a vertex list closed under negation."""
 
@@ -379,7 +313,7 @@ class VPolytope(ConvexBody):
         try:
             hull = ConvexHull(V)
         except Exception as exc:
-            raise BodyError(f"degenerate vertex set: {exc}") from exc
+            raise BodyError(f"degenerate vertex set: {_first_line(exc)}") from exc
         self._hull = hull
         self.vertices = V[hull.vertices]
         if np.linalg.matrix_rank(self.vertices) < self.dim:
@@ -460,6 +394,58 @@ class VPolytope(ConvexBody):
         return VPolytope(self.vertices * factor)
 
 
+class HPolytope(VPolytope):
+    """Intersection of halfspaces ``<n_i, x> <= b_i`` with unit normals closed under negation.
+
+    The vertices are enumerated once at construction, so an H-polytope is a
+    V-polytope whose facets are the given halfspaces.
+    """
+
+    def __init__(self, normals, offsets):
+        N = np.asarray(normals, dtype=float)
+        b = np.asarray(offsets, dtype=float)
+        if N.ndim != 2 or N.shape[0] != b.shape[0]:
+            raise BodyError("normals and offsets must have matching first dimension")
+        if N.shape[1] < 2:
+            raise BodyError("dimension must be >= 2")
+        if np.any(b <= 0):
+            raise BodyError("all offsets must be positive (origin interior)")
+        norms = np.linalg.norm(N, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise BodyError("facet normals must be unit vectors")
+        self.normals = N
+        self.offsets = b
+        self._check_facet_symmetry()
+        try:
+            # qhull reports unbounded regions as a degenerate dual hull
+            pts = HalfspaceIntersection(np.hstack([N, -b[:, None]]), np.zeros(N.shape[1])).intersections
+            vertices = pts[ConvexHull(pts).vertices]
+        except Exception as exc:
+            raise BodyError(f"halfspace intersection failed (unbounded?): {_first_line(exc)}") from exc
+        super().__init__(vertices)
+
+    def _check_facet_symmetry(self):
+        rows = np.hstack([self.normals, self.offsets[:, None]])
+        neg = np.hstack([-self.normals, self.offsets[:, None]])
+        for r in rows:
+            if not np.any(np.all(np.abs(neg - r) < _SYMMETRY_TOL, axis=1)):
+                raise BodyError("facet list is not closed under negation")
+
+    def __repr__(self):
+        return f"HPolytope(facets={len(self.offsets)}, dim={self.dim})"
+
+    @property
+    def facet_equations(self):
+        return self.normals, self.offsets
+
+    def _contains(self, pts):
+        # no slack: the given facets are exact, unlike qhull's
+        return np.all(pts @ self.normals.T <= self.offsets[None, :], axis=1)
+
+    def scaled(self, factor):
+        return HPolytope(self.normals, self.offsets * factor)
+
+
 def cube(halfwidth, dim):
     """Axis-aligned cube ``[-w, w]^n`` as an H-polytope."""
     eye = np.eye(dim)
@@ -491,18 +477,19 @@ def sphere_net(dim, size=None):
 def contains_body(outer, inner, margin=0.0):
     """Conservative test for ``inner + margin <= outer`` in support-function terms.
 
-    Exact when the outer body is an H-polytope; otherwise checks a deterministic
-    direction net plus both bodies' extreme directions, so near-touching pairs
-    may be rejected but a violation found on the net is never accepted.
+    Exact when the outer body is a polytope (one support test per facet);
+    otherwise checks a deterministic direction net plus both bodies' extreme
+    directions, so near-touching pairs may be rejected but a violation found
+    on the net is never accepted.
     """
     if outer.dim != inner.dim:
         raise BodyError("dimension mismatch")
     if margin < 0:
         raise BodyError("margin must be nonnegative")
-    if isinstance(outer, HPolytope):
+    if isinstance(outer, VPolytope):
         return all(
             inner.support(nrm) <= off - margin
-            for nrm, off in zip(outer.normals, outer.offsets)
+            for nrm, off in zip(*outer.facet_equations)
         )
     dirs = np.vstack(
         [

@@ -2,8 +2,9 @@
 
 For a body K and hyperplane ``H = {y : <x, y> = t}`` (unit ``x``) this module
 computes the cap volume ``vol{y in K : <x, y> >= t}``, the (n-1)-measure of
-``K ∩ H`` and its centroid.  Polytopes, H- or V-form in any dimension, are
-sliced exactly through their vertices and edges; balls and ellipsoids have
+``K ∩ H`` and its centroid.  Polytopes in any dimension are sliced exactly
+through their vertices and edges; an H-polytope is a V-polytope whose
+vertices were enumerated once at construction.  Balls and ellipsoids have
 closed forms.  Other bodies (lp-balls) are refused: the Monte Carlo oracles
 ``mc_section`` and ``mc_cap_volume`` are called explicitly, for estimates and
 for cross-validation of the exact paths.
@@ -26,7 +27,6 @@ from .bodies import (
     BodyError,
     ConvexBody,
     Ellipsoid,
-    HPolytope,
     UnsupportedRepresentation,
     VPolytope,
     unit_ball_volume,
@@ -239,26 +239,14 @@ def cap_volume(K, H):
     if isinstance(K, Ellipsoid):
         # affine reduction: A^{-1/2} maps the unit ball onto K, the cap onto a ball cap
         return K.volume() * _ball_cap_fraction(t / K.support(x), K.dim)
-    if isinstance(K, (VPolytope, HPolytope)):
-        verts, edges = _polytope_rep(K)
-        support = float(np.max(verts @ x))
+    if isinstance(K, VPolytope):
+        support = float(np.max(K.vertices @ x))
         if t >= support:
             return 0.0
         if t <= -support:
             return K.volume()
-        return _clipped_polytope_volume(verts, edges, x, t)
+        return _clipped_polytope_volume(K.vertices, K.edges, x, t)
     raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
-
-
-def _polytope_rep(K):
-    """(vertices, edges) of a polytope, enumerating an H-rep if needed (cached on K)."""
-    if isinstance(K, VPolytope):
-        return K.vertices, K.edges
-    vp = getattr(K, "_vrep", None)
-    if vp is None:
-        vp = VPolytope(K.vertices)
-        K._vrep = vp
-    return vp.vertices, vp.edges
 
 
 def section(K, H):
@@ -280,10 +268,10 @@ def section(K, H):
         return SectionData(measure, centroid, measure * centroid, SectionMethod.ANALYTIC)
     if isinstance(K, Ellipsoid):
         return _ellipsoid_section(K, x, t)
-    if isinstance(K, (VPolytope, HPolytope)):
+    if isinstance(K, VPolytope):
         if abs(t) >= K.support(x):
             return SectionData(0.0, None, None, SectionMethod.EXACT)
-        return _polytope_section(*_polytope_rep(K), H)
+        return _polytope_section(K.vertices, K.edges, H)
     raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
 

@@ -97,6 +97,24 @@ def _projective_angle(a, b):
     return float(np.arccos(min(1.0, abs(float(a @ b)))))
 
 
+def _dedup(candidates):
+    """Merge (direction, residual) candidates into distinct pairs.
+
+    Greedy in residual order: a candidate joins the first kept direction within
+    ``DEDUP_ANGLE`` of it.  Returns ``[direction, residual, count]`` per pair.
+    """
+    clusters = []
+    for idx in np.argsort([r for _, r in candidates], kind="stable"):
+        z, res = candidates[idx]
+        for c in clusters:
+            if _projective_angle(z, c[0]) <= DEDUP_ANGLE:
+                c[2] += 1
+                break
+        else:
+            clusters.append([z, res, 1])
+    return clusters
+
+
 def _start_directions(dim, count, seed):
     """Half low-discrepancy net, half seeded random directions."""
     m_ld = (count + 1) // 2
@@ -261,19 +279,7 @@ def solve(K, L, config=None):
         if res <= cfg.residual_tol:
             candidates.append((_canonical(z), res))
 
-    # cluster candidates by projective geodesic distance
-    clusters = []  # (direction, residual, count)
-    merges = 0
-    for idx in np.argsort([r for _, r in candidates], kind="stable"):
-        z, res = candidates[idx]
-        for c in clusters:
-            if _projective_angle(z, c[0]) <= DEDUP_ANGLE:
-                c[2] += 1
-                merges += 1
-                break
-        else:
-            clusters.append([z, res, 1])
-
+    clusters = _dedup(candidates)
     pairs = []
     for z, res, basin in clusters:
         ev = evaluate(K, L, z, margin=margin, with_value=False)
@@ -303,7 +309,7 @@ def solve(K, L, config=None):
     stats.update(
         starts=count,
         converged=len(candidates),
-        dedup_merges=merges,
+        dedup_merges=len(candidates) - len(clusters),
         f_spread=max(fs) - min(fs) if fs else None,
     )
     return TheoremReport(
@@ -332,14 +338,17 @@ def grid_census(K, L, resolution=10_000, residual_tol=1e-7):
     n=2: signed tangential gradient on a uniform half-circle grid, sign-change
     bracketing plus bisection.  n=3: icosahedral-refinement mesh on the
     hemisphere, residual local minima polished to tolerance.
-    Returns a list of (canonical direction, residual).
+    Returns the distinct (canonical direction, residual), merged within
+    ``DEDUP_ANGLE`` as in ``solve``, in direction order.
     """
     validate_instance(K, L)
     if K.dim == 2:
-        return _grid_census_2d(K, L, resolution, residual_tol)
-    if K.dim == 3:
-        return _grid_census_3d(K, L, resolution, residual_tol)
-    raise BodyError("grid_census supports n in {2, 3} only")
+        results = _grid_census_2d(K, L, resolution, residual_tol)
+    elif K.dim == 3:
+        results = _grid_census_3d(K, L, resolution, residual_tol)
+    else:
+        raise BodyError("grid_census supports n in {2, 3} only")
+    return sorted(((z, res) for z, res, _ in _dedup(results)), key=lambda zr: tuple(zr[0]))
 
 
 def _signed_gradient_2d(K, L, theta, margin):
@@ -377,7 +386,7 @@ def _grid_census_2d(K, L, resolution, residual_tol):
         _, res, z = _signed_gradient_2d(K, L, 0.5 * (a + b), margin)
         if res <= residual_tol:
             results.append((_canonical(z), res))
-    return _dedup_census(results)
+    return results
 
 
 def _icosphere(subdivisions):
@@ -450,13 +459,4 @@ def _grid_census_3d(K, L, resolution, residual_tol):
         zp, res = _polish(K, L, z, residual_tol, margin, stats)
         if res <= residual_tol:
             results.append((_canonical(zp), res))
-    return _dedup_census(results)
-
-
-def _dedup_census(results, angle=1e-3):
-    out = []
-    for z, res in sorted(results, key=lambda zr: zr[1]):
-        if all(_projective_angle(z, z2) > angle for z2, _ in out):
-            out.append((z, res))
-    out.sort(key=lambda zr: tuple(zr[0]))
-    return out
+    return results

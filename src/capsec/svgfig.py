@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .bodies import HPolytope, VPolytope
+from .bodies import VPolytope
 
 __all__ = ["render_instance"]
 
@@ -19,7 +19,7 @@ def _fmt(x):
 
 
 def _boundary_points(body):
-    if isinstance(body, (VPolytope, HPolytope)):
+    if isinstance(body, VPolytope):
         verts = body.vertices
         order = ConvexHull(verts).vertices
         return verts[order]

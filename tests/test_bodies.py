@@ -236,6 +236,11 @@ class TestConstruction:
         with pytest.raises(BodyError):
             HPolytope(np.vstack([eye, -eye]), np.array([1.0, 1.0, -1.0, 1.0]))
 
+    def test_unbounded_facets_rejected(self):
+        # a slab: symmetric, unit normals, positive offsets, but not bounded
+        with pytest.raises(BodyError, match="unbounded"):
+            HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
+
     def test_indefinite_shape_matrix_rejected(self):
         with pytest.raises(BodyError):
             Ellipsoid(np.diag([1.0, -1.0]))

@@ -160,6 +160,23 @@ class TestSolve:
         assert "mc_section" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "K_fields, message",
+        [
+            ("K.kind = hpolytope\nK.normals = 1 0 ; -1 0\nK.offsets = 1 1\n", "unbounded"),
+            ("K.kind = vpolytope\nK.vertices = 1 1 ; -1 -1 ; 2 2 ; -2 -2\n", "degenerate vertex set"),
+        ],
+        ids=["unbounded-hpolytope", "flat-vpolytope"],
+    )
+    def test_bad_polytope_rejected(self, K_fields, message, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("dimension = 2\n" + K_fields + "L.kind = ball\nL.radius = 0.5\n")
+        assert main(["solve", "--spec", str(spec), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 CUBE_3D = """
 dimension = 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from capsec import sections
+from capsec import bodies, sections
 from capsec.bodies import (
     Ball,
     BodyError,
@@ -14,8 +14,10 @@ from capsec.bodies import (
     LpBall,
     UnsupportedRepresentation,
     VPolytope,
+    contains_body,
     cube,
 )
+from capsec.functional import _touch_and_section
 from capsec.sections import (
     Hyperplane,
     SectionMethod,
@@ -107,6 +109,22 @@ class TestSection:
         assert sec.centroid == pytest.approx(np.array([0.3, 0.0]))
         assert sec.method is SectionMethod.EXACT
 
+    def test_h_polytope_section_builds_one_hull(self, monkeypatch):
+        # once K's edges exist, the slice's own hull is the only qhull build:
+        # the measure floor reads K's volume from the hull made at construction
+        K, L, z = cube(1.0, 3), Ball(0.5, 3), unit([0.3, -0.5, 0.8])
+        _touch_and_section(K, L, z)
+        calls = []
+
+        def counting_hull(*args, **kwargs):
+            calls.append(args)
+            return ConvexHull(*args, **kwargs)
+
+        for module in (bodies, sections):
+            monkeypatch.setattr(module, "ConvexHull", counting_hull)
+        _touch_and_section(K, L, z)
+        assert len(calls) == 1
+
     def test_ball_circle(self):
         x = unit([1.0, -1.0, 0.5])
         sec = section(Ball(1.0, 3), Hyperplane(x, 0.6))
@@ -175,8 +193,26 @@ class TestSection:
             ]
             for K_h, K_v in pairs:
                 assert K_h.volume() == pytest.approx(K_v.volume(), rel=1e-9)
+                assert K_h.inradius_lower_bound() == pytest.approx(K_v.inradius_lower_bound(), rel=1e-9)
+                # strictly inside, strictly outside, and the vertices themselves
+                pts = np.vstack([rng.uniform(-1.2, 1.2, size=(200, dim)) * w, 0.999 * K_v.vertices])
+                assert np.array_equal(K_h.contains_points(pts), K_v.contains_points(pts))
+                # either polytope as the outer body, then as the inner one
+                r = K_v.inradius_lower_bound()
+                R = float(np.max(np.linalg.norm(K_v.vertices, axis=1)))
+                for L, margin, verdict in [
+                    (Ball(0.5 * r, dim), 0.0, True),
+                    (Ball(0.5 * r, dim), 0.4 * r, True),
+                    (Ball(0.5 * r, dim), 0.6 * r, False),
+                    (Ball(1.01 * r, dim), 0.0, False),
+                ]:
+                    assert contains_body(K_h, L, margin) is contains_body(K_v, L, margin) is verdict
+                for L, verdict in [(Ball(1.01 * R, dim), True), (Ball(0.99 * R, dim), False)]:
+                    assert contains_body(L, K_h) is contains_body(L, K_v) is verdict
                 for _ in range(10):
                     x = unit(rng.normal(size=dim))
+                    assert K_h.support(x) == pytest.approx(K_v.support(x), rel=1e-12)
+                    assert K_h.gauge(x) == pytest.approx(K_v.gauge(x), rel=1e-9)
                     t = float(rng.uniform(-0.9, 0.9)) * K_v.support(x)
                     a = section(K_h, Hyperplane(x, t))
                     b = section(K_v, Hyperplane(x, t))
@@ -266,7 +302,7 @@ class TestWholeArraySlicingIsBitIdentical:
         return [random_vpolytope(rng, dim) for _ in range(3)] + [cube(1.0, dim)]
 
     def planes(self, K, rng, count=25):
-        verts = sections._polytope_rep(K)[0]
+        verts = K.vertices
         for _ in range(count):
             x = unit(rng.normal(size=K.dim))
             yield Hyperplane(x, float(rng.uniform(-0.95, 0.95)) * K.support(x))
@@ -300,7 +336,7 @@ class TestWholeArraySlicingIsBitIdentical:
     def test_cube_vertices_on_plane(self):
         # x = (1, 1, 0)/sqrt(2), t = 0 holds the four cube vertices with y1 = -y2
         K = cube(1.0, 3)
-        verts, edges = sections._polytope_rep(K)
+        verts, edges = K.vertices, K.edges
         d = verts @ unit([1.0, 1.0, 0.0])
         pts = sections._slice_points(verts, edges, d, 0.0)
         assert np.count_nonzero(d == 0.0) == 4
