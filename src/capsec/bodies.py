@@ -195,11 +195,6 @@ class Ellipsoid(ConvexBody):
     def inverse_shape(self):
         return self._eigvecs @ np.diag(1.0 / self._eigvals) @ self._eigvecs.T
 
-    @cached_property
-    def inv_sqrt_shape(self):
-        # maps the unit ball onto the ellipsoid
-        return self._eigvecs @ np.diag(1.0 / np.sqrt(self._eigvals)) @ self._eigvecs.T
-
     def support(self, u):
         u = _as_vector(u, self.dim)
         _require_nonzero(u)
@@ -344,22 +339,19 @@ class VPolytope(ConvexBody):
 
     @cached_property
     def edges(self):
-        """Index pairs of 1-faces (may include facet diagonals from qhull's triangulation).
+        """Sorted index pairs into ``vertices`` of the edges of the construction hull's facets.
 
-        Extra in-facet diagonals are harmless for slicing: their crossing points
-        lie on the slice polytope, never outside it.
+        qhull triangulates non-simplicial facets, so the pairs may include facet
+        diagonals; these are harmless for slicing, as their crossing points lie
+        on the slice polytope, never outside it.  In 2-D the facets are the edges.
         """
-        V = self.vertices
-        hull = ConvexHull(V)
+        hull = self._hull
+        row = np.empty(len(hull.points), dtype=int)
+        row[hull.vertices] = np.arange(len(hull.vertices))
         pairs = set()
-        if self.dim == 2:
-            order = hull.vertices
-            for a, b in zip(order, np.roll(order, -1)):
+        for simplex in row[hull.simplices]:
+            for a, b in itertools.combinations(simplex, 2):
                 pairs.add((min(a, b), max(a, b)))
-        else:
-            for simplex in hull.simplices:
-                for a, b in itertools.combinations(simplex, 2):
-                    pairs.add((min(a, b), max(a, b)))
         return np.array(sorted(pairs), dtype=int)
 
     def support(self, u):
@@ -419,10 +411,9 @@ class HPolytope(VPolytope):
         try:
             # qhull reports unbounded regions as a degenerate dual hull
             pts = HalfspaceIntersection(np.hstack([N, -b[:, None]]), np.zeros(N.shape[1])).intersections
-            vertices = pts[ConvexHull(pts).vertices]
         except Exception as exc:
             raise BodyError(f"halfspace intersection failed (unbounded?): {_first_line(exc)}") from exc
-        super().__init__(vertices)
+        super().__init__(pts)
 
     def _check_facet_symmetry(self):
         rows = np.hstack([self.normals, self.offsets[:, None]])

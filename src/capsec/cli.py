@@ -32,12 +32,6 @@ def _fail(message, code=1):
     return code
 
 
-def _load_spec(args, overrides=None):
-    spec = load_instance_spec(args.spec, overrides)
-    validate_instance(spec.K, spec.L)
-    return spec
-
-
 def _solver_overrides(args):
     overrides = {}
     if getattr(args, "starts", None) is not None:
@@ -51,10 +45,9 @@ def _solver_overrides(args):
 
 def cmd_check_gradient(args):
     try:
-        spec = _load_spec(args)
-    except SpecError as exc:
-        return _fail(str(exc))
-    except RejectedInstanceError as exc:
+        spec = load_instance_spec(args.spec)
+        validate_instance(spec.K, spec.L)
+    except (SpecError, RejectedInstanceError) as exc:
         return _fail(str(exc))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
     rows = []
@@ -89,12 +82,10 @@ def cmd_check_gradient(args):
 
 def cmd_solve(args):
     try:
-        spec = _load_spec(args, _solver_overrides(args))
-    except SpecError as exc:
+        spec = load_instance_spec(args.spec, _solver_overrides(args))
+        report = solve(spec.K, spec.L, spec.solver)  # solve validates the instance
+    except (SpecError, RejectedInstanceError) as exc:
         return _fail(str(exc))
-    except RejectedInstanceError as exc:
-        return _fail(str(exc))
-    report = solve(spec.K, spec.L, spec.solver)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"

@@ -90,13 +90,19 @@ class SectionData:
 
     measure: float
     centroid: np.ndarray | None
-    moment: np.ndarray | None
     method: SectionMethod
     stderr: float | None = None
 
     @property
     def degenerate(self):
         return self.centroid is None
+
+    @property
+    def moment(self):
+        """First moment ``measure * centroid``; None for a degenerate section."""
+        if self.centroid is None:
+            return None
+        return self.measure * self.centroid
 
 
 def hyperplane_chart(direction):
@@ -197,13 +203,13 @@ def _polytope_section(vertices, edges, H):
     pts = _slice_points(vertices, edges, vertices @ x, t)
     n = vertices.shape[1]
     if len(pts) < n:
-        return SectionData(0.0, None, None, SectionMethod.EXACT)
+        return SectionData(0.0, None, SectionMethod.EXACT)
     Q = hyperplane_chart(x)
     measure, chart_centroid = _chart_polytope_data(pts @ Q)
     if chart_centroid is None:
-        return SectionData(0.0, None, None, SectionMethod.EXACT)
+        return SectionData(0.0, None, SectionMethod.EXACT)
     centroid = sgn * (t * x + Q @ chart_centroid)
-    return SectionData(measure, centroid, measure * centroid, SectionMethod.EXACT)
+    return SectionData(measure, centroid, SectionMethod.EXACT)
 
 
 def _clipped_polytope_volume(vertices, edges, x, t):
@@ -262,15 +268,15 @@ def section(K, H):
     if isinstance(K, Ball):
         r2 = K.radius**2 - t * t
         if r2 <= 0.0:
-            return SectionData(0.0, None, None, SectionMethod.ANALYTIC)
+            return SectionData(0.0, None, SectionMethod.ANALYTIC)
         measure = unit_ball_volume(K.dim - 1) * r2 ** ((K.dim - 1) / 2.0)
         centroid = t * x
-        return SectionData(measure, centroid, measure * centroid, SectionMethod.ANALYTIC)
+        return SectionData(measure, centroid, SectionMethod.ANALYTIC)
     if isinstance(K, Ellipsoid):
         return _ellipsoid_section(K, x, t)
     if isinstance(K, VPolytope):
         if abs(t) >= K.support(x):
-            return SectionData(0.0, None, None, SectionMethod.EXACT)
+            return SectionData(0.0, None, SectionMethod.EXACT)
         return _polytope_section(K.vertices, K.edges, H)
     raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
@@ -279,17 +285,16 @@ def _ellipsoid_section(K, x, t):
     h = K.support(x)
     tau = t / h
     if abs(tau) >= 1.0:
-        return SectionData(0.0, None, None, SectionMethod.ANALYTIC)
-    M = K.inv_sqrt_shape
-    v = (M @ x) / h  # unit normal in ball coordinates
-    # section = M(ball section): an (n-1)-ellipsoid with center M(tau v)
+        return SectionData(0.0, None, SectionMethod.ANALYTIC)
+    # K = M(B^n) with M = A^{-1/2}, so K ∩ H = M(B^n ∩ H'), where H' has unit
+    # normal v = M x / h and offset tau; the ball section has radius rho and
+    # center tau v, which M sends to t A^{-1} x / h^2.  M stretches hyperplane
+    # measure on H' by det M |M^{-1} v| = det M / h, and det M = vol K / vol B^n.
     center = t * (K.inverse_shape @ x) / (h * h)
-    Q = hyperplane_chart(v)
-    B = M @ Q
-    jac = float(np.sqrt(np.linalg.det(B.T @ B)))
     rho = np.sqrt(1.0 - tau * tau)
-    measure = unit_ball_volume(K.dim - 1) * rho ** (K.dim - 1) * jac
-    return SectionData(measure, center, measure * center, SectionMethod.ANALYTIC)
+    n = K.dim
+    measure = unit_ball_volume(n - 1) * rho ** (n - 1) * K.volume() / (unit_ball_volume(n) * h)
+    return SectionData(measure, center, SectionMethod.ANALYTIC)
 
 
 def _mc_rng(seed):
@@ -342,10 +347,10 @@ def mc_section(K, H, samples=MC_DEFAULT_SAMPLES, thickness=None, seed=MC_DEFAULT
         point_sum += pts[sel].sum(axis=0)
         remaining -= m
     if hits == 0:
-        return SectionData(0.0, None, None, SectionMethod.MONTE_CARLO, stderr=0.0)
+        return SectionData(0.0, None, SectionMethod.MONTE_CARLO, stderr=0.0)
     p = hits / samples
     measure = box_vol * p / thickness
     stderr = box_vol * float(np.sqrt(p * (1.0 - p) / samples)) / thickness
     centroid = point_sum / hits
     centroid = centroid + (H.offset - centroid @ H.direction) * H.direction
-    return SectionData(measure, centroid, measure * centroid, SectionMethod.MONTE_CARLO, stderr)
+    return SectionData(measure, centroid, SectionMethod.MONTE_CARLO, stderr)

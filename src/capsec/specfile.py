@@ -24,7 +24,7 @@ Body parameters by kind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class InstanceSpec:
     L: ConvexBody
     solver: SolverConfig
     seed: int = 0
-    source: dict = field(default_factory=dict)
 
 
 def _parse_matrix(value, field_name):
@@ -107,7 +106,6 @@ def _build_body(prefix, fields, dim):
 _SOLVER_FIELDS = {
     "starts": int,
     "residual_tol": float,
-    "seed": int,
 }
 
 
@@ -172,7 +170,7 @@ def parse_instance_spec(text, overrides=None):
     except BodyError as exc:
         raise SpecError(str(exc)) from exc
 
-    return InstanceSpec(dimension=dim, K=K, L=L, solver=config, seed=seed, source=assignments)
+    return InstanceSpec(dimension=dim, K=K, L=L, solver=config, seed=seed)
 
 
 def load_instance_spec(path, overrides=None):

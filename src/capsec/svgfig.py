@@ -5,7 +5,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .bodies import VPolytope
 
@@ -20,9 +19,7 @@ def _fmt(x):
 
 def _boundary_points(body):
     if isinstance(body, VPolytope):
-        verts = body.vertices
-        order = ConvexHull(verts).vertices
-        return verts[order]
+        return body.vertices  # qhull lists planar hull vertices counter-clockwise
     theta = np.linspace(0.0, 2.0 * np.pi, _OUTLINE_SAMPLES, endpoint=False)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return np.array([u / body.gauge(u) for u in dirs])

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from capsec.bodies import (
     Ball,
@@ -259,3 +262,42 @@ class TestConstruction:
         assert Ellipsoid.from_semiaxes([2.0, 0.5]).volume() == pytest.approx(np.pi)
         assert LpBall(2.0, 1.0, 2).volume() == pytest.approx(np.pi, rel=1e-12)
         assert unit_ball_volume(2) == pytest.approx(np.pi)
+
+
+def fresh_hull_edges(P):
+    """Edges from a second hull built on ``P.vertices``: a 2-D polygon's sides,
+    otherwise every pair within a hull facet."""
+    hull = ConvexHull(P.vertices)
+    if P.dim == 2:
+        pairs = {tuple(sorted(e)) for e in zip(hull.vertices, np.roll(hull.vertices, -1))}
+    else:
+        pairs = {tuple(sorted(e)) for s in hull.simplices for e in itertools.combinations(s, 2)}
+    return np.array(sorted(pairs), dtype=int)
+
+
+class TestEdges:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_edges_match_a_fresh_hull(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
+        eye = np.eye(dim)
+        polytopes = [
+            cube(0.8, dim),
+            VPolytope(0.8 * signs),
+            VPolytope(np.vstack([eye, -eye])),
+            HPolytope(signs / np.sqrt(dim), np.full(len(signs), 1.0 / np.sqrt(dim))),
+        ]
+        for _ in range(4):
+            pts = rng.normal(size=(3 * dim, dim))
+            polytopes.append(VPolytope.symmetric_hull(pts / np.linalg.norm(pts, axis=1, keepdims=True)))
+        for P in polytopes:
+            assert P.edges.tobytes() == fresh_hull_edges(P).tobytes()
+            assert P.edges.shape[1] == 2 and P.edges.max() < len(P.vertices)
+
+    def test_planar_vertices_counter_clockwise(self):
+        # the SVG outline draws a planar polytope's vertices in stored order
+        rng = np.random.default_rng(5)
+        for P in [cube(1.0, 2), VPolytope.symmetric_hull(rng.normal(size=(6, 2)))]:
+            v = P.vertices
+            w = np.roll(v, -1, axis=0)
+            assert np.all(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0] > 0)

@@ -16,7 +16,9 @@ from capsec.bodies import (
     VPolytope,
     contains_body,
     cube,
+    unit_ball_volume,
 )
+from capsec.families import random_rotation
 from capsec.functional import _touch_and_section
 from capsec.sections import (
     Hyperplane,
@@ -102,6 +104,37 @@ class TestCapVolume:
                 assert v1 + v2 == pytest.approx(K.volume(), rel=1e-9)
 
 
+def count_hull_builds(monkeypatch):
+    """List that gains one entry per ``ConvexHull`` built in ``bodies`` or ``sections``."""
+    calls = []
+
+    def counting_hull(*args, **kwargs):
+        calls.append(args)
+        return ConvexHull(*args, **kwargs)
+
+    for module in (bodies, sections):
+        monkeypatch.setattr(module, "ConvexHull", counting_hull)
+    return calls
+
+
+def chart_ellipsoid_section(K, x, t):
+    """(measure, centroid) of an ellipsoid section through an orthonormal chart.
+
+    The section is M(ball section) with M = A^{-1/2}; its measure is the ball
+    section's times the Gram determinant of M restricted to the ball-side plane.
+    """
+    w, V = np.linalg.eigh(K.shape_matrix)
+    M = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+    h = K.support(x)
+    tau = t / h
+    Q = hyperplane_chart((M @ x) / h)
+    B = M @ Q
+    jac = float(np.sqrt(np.linalg.det(B.T @ B)))
+    rho = np.sqrt(1.0 - tau * tau)
+    measure = unit_ball_volume(K.dim - 1) * rho ** (K.dim - 1) * jac
+    return measure, t * (K.inverse_shape @ x) / (h * h)
+
+
 class TestSection:
     def test_square_chord(self):
         sec = section(cube(1.0, 2), Hyperplane(np.array([1.0, 0.0]), 0.3))
@@ -114,16 +147,30 @@ class TestSection:
         # the measure floor reads K's volume from the hull made at construction
         K, L, z = cube(1.0, 3), Ball(0.5, 3), unit([0.3, -0.5, 0.8])
         _touch_and_section(K, L, z)
-        calls = []
-
-        def counting_hull(*args, **kwargs):
-            calls.append(args)
-            return ConvexHull(*args, **kwargs)
-
-        for module in (bodies, sections):
-            monkeypatch.setattr(module, "ConvexHull", counting_hull)
+        calls = count_hull_builds(monkeypatch)
         _touch_and_section(K, L, z)
         assert len(calls) == 1
+
+    def test_polytope_builds_two_hulls_cold(self, monkeypatch):
+        # from construction through the first section: the hull made at
+        # construction (which also gives the edges), then the slice's own hull
+        calls = count_hull_builds(monkeypatch)
+        _touch_and_section(cube(1.0, 3), Ball(0.5, 3), unit([0.3, -0.5, 0.8]))
+        assert len(calls) == 2
+
+    def test_ellipsoid_section_matches_chart_oracle(self):
+        rng = np.random.default_rng(13)
+        for dim in (2, 3, 4, 5, 6):
+            for _ in range(4):
+                K = Ellipsoid.from_semiaxes(rng.uniform(0.3, 2.0, size=dim), random_rotation(rng, dim))
+                for _ in range(5):
+                    x = unit(rng.normal(size=dim))
+                    h = K.support(x)
+                    for tau in (float(rng.uniform(-0.95, 0.95)), 1.0 - 1e-9, -(1.0 - 1e-6)):
+                        sec = section(K, Hyperplane(x, tau * h))
+                        measure, centroid = chart_ellipsoid_section(K, x, tau * h)
+                        assert sec.measure == pytest.approx(measure, rel=1e-12, abs=0.0)
+                        assert sec.centroid.tobytes() == centroid.tobytes()
 
     def test_ball_circle(self):
         x = unit([1.0, -1.0, 0.5])
@@ -362,6 +409,8 @@ class TestDerivativeIdentities:
     def bodies(self, rng, dim):
         out = [Ball(1.1, dim), Ellipsoid.from_semiaxes(np.linspace(1.2, 0.6, dim)), cube(0.9, dim)]
         out.append(random_vpolytope(rng, dim))
+        # rotated, so the off-diagonal terms of the shape matrix enter too
+        out.append(Ellipsoid.from_semiaxes(np.linspace(0.5, 1.4, dim), random_rotation(np.random.default_rng(dim), dim)))
         return out
 
     def test_t_derivative_is_minus_measure(self):

@@ -131,7 +131,8 @@ class TestErrors:
         msg = self.error_message(BASIC.replace("solver.starts = 64", "solver.starts = many"))
         assert "field solver.starts:" in msg
 
-    @pytest.mark.parametrize("key", ["max_iters", "step_init", "mode", "dedup_angle"])
+    # seed: the top-level seed draws the starts and is the one report.json records
+    @pytest.mark.parametrize("key", ["max_iters", "step_init", "mode", "dedup_angle", "seed"])
     def test_fixed_solver_settings_are_refused(self, key):
         msg = self.error_message(BASIC + f"\nsolver.{key} = 1\n")
         assert f"solver.{key}: unknown solver option" in msg
