@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
@@ -44,6 +44,7 @@ class UnsupportedRepresentation(BodyError):
     """Operation not defined for this representation (e.g. touch point of a polytope)."""
 
 
+@cache
 def unit_ball_volume(n):
     """Volume of the unit Euclidean ball in R^n."""
     return float(np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)))
@@ -175,6 +176,9 @@ class Ellipsoid(ConvexBody):
         self._eigvals = w
         self._eigvecs = V
         self.dim = A.shape[0]
+        # constants of the body, read on every section and cap volume
+        self._volume = unit_ball_volume(self.dim) / float(np.sqrt(np.prod(w)))
+        self._inradius = float(1.0 / np.sqrt(w.max()))
 
     @classmethod
     def from_semiaxes(cls, semiaxes, rotation=None):
@@ -214,7 +218,7 @@ class Ellipsoid(ConvexBody):
         return np.einsum("ij,jk,ik->i", pts, self.shape_matrix, pts) <= 1.0
 
     def volume(self):
-        return unit_ball_volume(self.dim) / float(np.sqrt(np.prod(self._eigvals)))
+        return self._volume
 
     def extreme_directions(self):
         return np.vstack([np.eye(self.dim), self._eigvecs.T])
@@ -223,7 +227,7 @@ class Ellipsoid(ConvexBody):
         return 1.0 / np.sqrt(self._eigvals)
 
     def inradius_lower_bound(self):
-        return float(1.0 / np.sqrt(self._eigvals.max()))
+        return self._inradius
 
     def scaled(self, factor):
         return Ellipsoid(self.shape_matrix / factor**2)
@@ -313,6 +317,9 @@ class VPolytope(ConvexBody):
         self.vertices = V[hull.vertices]
         if np.linalg.matrix_rank(self.vertices) < self.dim:
             raise BodyError("vertex set does not span R^n")
+        # every containment-margin check reads this; an H-polytope's own facets are set by now
+        normals, offsets = self.facet_equations
+        self._inradius = float(np.min(offsets / np.linalg.norm(normals, axis=1)))
 
     @staticmethod
     def _check_symmetry(V):
@@ -378,9 +385,7 @@ class VPolytope(ConvexBody):
         return np.vstack([vn, normals])
 
     def inradius_lower_bound(self):
-        normals, offsets = self.facet_equations
-        scale = np.linalg.norm(normals, axis=1)
-        return float(np.min(offsets / scale))
+        return self._inradius
 
     def scaled(self, factor):
         return VPolytope(self.vertices * factor)

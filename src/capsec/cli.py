@@ -138,7 +138,6 @@ def cmd_census(args):
             elapsed = time.perf_counter() - t0
             pair_counts.append(len(report.pairs))
             all_certified &= report.certified
-            indices = [p.morse_index for p in report.pairs]
             writer.writerow(
                 {
                     "index": i,
@@ -149,10 +148,7 @@ def cmd_census(args):
                     "certified": report.certified,
                     "budget_exhausted": not report.certified,
                     "degenerate_continuum": report.degenerate_continuum,
-                    # Morse alternating sum; chi(RP^{n-1}) when every critical pair was found
-                    "euler_sum": ""
-                    if not indices or None in indices
-                    else sum((-1) ** k for k in indices),
+                    "euler_sum": "" if report.euler_sum is None else report.euler_sum,
                     "wall_time_s": f"{elapsed:.3f}",
                 }
             )

@@ -75,7 +75,7 @@ class FunctionalEval:
     """Objective value, section data and tangential gradient at one direction."""
 
     direction: np.ndarray
-    f_value: float | None
+    f_value: float
     touch_point: np.ndarray
     section: SectionData
     tangential_gradient: np.ndarray
@@ -105,23 +105,19 @@ def _touch_and_section(K, L, z, margin=None):
     return t, L.touch_point(z), sec
 
 
-def evaluate(K, L, z, margin=None, with_value=True):
-    """Evaluate the objective, section and tangential gradient at unit direction z.
-
-    ``with_value=False`` skips the cap-volume computation (the gradient and
-    residual only need the section).
-    """
+def evaluate(K, L, z, margin=None):
+    """Evaluate the objective, section and tangential gradient at unit direction z."""
     z = _unit(z)
     t, touch, sec = _touch_and_section(K, L, z, margin)
     diff = sec.centroid - touch
     diff = diff - (diff @ z) * z
     grad = sec.measure * diff
     residual = float(np.linalg.norm(diff))
-    f = cap_volume(K, Hyperplane(z, t)) if with_value else None
+    f = cap_volume(K, Hyperplane(z, t))
     return FunctionalEval(z, f, touch, sec, grad, residual)
 
 
-def fd_tangential_gradient(K, L, z, step=1e-5, margin=None):
+def fd_tangential_gradient(K, L, z, step=1e-5):
     """Central-difference tangential gradient with great-circle retraction.
 
     Independent of the analytic formula: only cap volumes are evaluated.
@@ -135,7 +131,7 @@ def fd_tangential_gradient(K, L, z, step=1e-5, margin=None):
     def f(direction):
         d = direction / np.linalg.norm(direction)
         t = L.support(d)
-        if K.support(d) - t < (default_margin(K) if margin is None else margin):
+        if K.support(d) - t < default_margin(K):
             raise RejectedInstanceError("containment margin violated during differencing")
         return cap_volume(K, Hyperplane(d, t))
 

@@ -70,15 +70,6 @@ class Hyperplane:
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "offset", float(self.offset))
 
-    @classmethod
-    def normalized(cls, direction, offset):
-        """Build from an arbitrary nonzero direction, rescaling the offset to match."""
-        d = np.asarray(direction, dtype=float)
-        nrm = np.linalg.norm(d)
-        if nrm == 0:
-            raise BodyError("hyperplane direction must be nonzero")
-        return cls(d / nrm, float(offset) / nrm)
-
     @property
     def dim(self):
         return self.direction.shape[0]

@@ -4,6 +4,10 @@ Runs projected-gradient descent/ascent with Armijo backtracking on the sphere,
 polishes candidates with a damped Gauss-Newton iteration on the
 centroid-minus-touch-point residual, deduplicates antipodal clusters, and
 certifies the distinct-pair count against the dimension lower bound.
+
+A report stores only what the search measured; a pair's kind, the report's
+continuum flag and its Euler sum are read off the pairs' Morse indices.  The
+objective and the containment margin are ``functional``'s alone.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from .functional import (
     DegenerateSectionError,
     RejectedInstanceError,
     _touch_and_section,
-    default_margin,
     evaluate,
     validate_instance,
 )
 from .reporting import _round
-from .sections import Hyperplane, cap_volume, hyperplane_chart
+from .sections import cap_volume  # unused; perfbench/selftest.py reads this name
+from .sections import hyperplane_chart
 
 __all__ = [
     "SolverConfig",
@@ -39,6 +43,8 @@ STEP_INIT = 0.1
 POLISH_TRIGGER = 1e-3  # residual below which the gradient stage hands over
 FD_STEP = 1e-6  # central-difference step of the residual Jacobian
 FLAT_EIGENVALUE = 1e-6  # eigenvalues of sym(Q^T J) below this times diam(K) count as zero
+POLISH_MAX_ITERS = 30
+CANONICAL_TOL = 1e-9  # coordinates at most this small do not fix a pair's sign
 
 
 @dataclass
@@ -67,28 +73,56 @@ class CriticalPair:
     residual: float
     centroid: np.ndarray
     touch_point: np.ndarray
-    kind: str = "unclassified"
     morse_index: int | None = None  # negative eigenvalues of sym(Q^T J); None when unclassified
     basin_count: int = 1
+
+    @property
+    def kind(self):
+        """``min``, ``saddle`` or ``max`` by Morse index on RP^{n-1}; ``unclassified`` without one."""
+        if self.morse_index is None:
+            return "unclassified"
+        if self.morse_index == 0:
+            return "min"
+        if self.morse_index == len(self.direction) - 1:
+            return "max"
+        return "saddle"
 
 
 @dataclass
 class TheoremReport:
     dimension: int
     pairs: list[CriticalPair]
-    degenerate_continuum: bool = False
-    continuum_justification: str | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def certified(self):
         return certify(self, self.dimension)
 
+    @property
+    def degenerate_continuum(self):
+        """Some pair is unclassified: a flat Hessian eigenvalue or a degenerate section."""
+        return any(p.morse_index is None for p in self.pairs)
 
-def _canonical(z, tol=1e-9):
+    @property
+    def continuum_justification(self):
+        flat = sum(p.morse_index is None for p in self.pairs)
+        if not flat:
+            return None
+        return f"{flat}/{len(self.pairs)} pairs have a flat eigenvalue of sym(Q^T J) or a degenerate section"
+
+    @property
+    def euler_sum(self):
+        """Morse alternating sum, chi(RP^{n-1}) when every pair was found; None if any index is missing."""
+        indices = [p.morse_index for p in self.pairs]
+        if not indices or None in indices:
+            return None
+        return sum((-1) ** k for k in indices)
+
+
+def _canonical(z):
     """Representative of {z, -z} whose first non-negligible coordinate is positive."""
     for zi in z:
-        if abs(zi) > tol:
+        if abs(zi) > CANONICAL_TOL:
             return -z if zi < 0 else z
     return z
 
@@ -125,17 +159,12 @@ def _start_directions(dim, count, seed):
     return np.vstack([net, rnd])
 
 
-def _residual_vector(K, L, z, margin):
-    t, touch, sec = _touch_and_section(K, L, z, margin)
+def _residual_vector(K, L, z):
+    t, touch, sec = _touch_and_section(K, L, z)
     return sec.centroid - touch
 
 
-def _f_value(K, L, z):
-    t = L.support(z)
-    return cap_volume(K, Hyperplane(z, t))
-
-
-def _gradient_stage(K, L, z, sign, margin, stats, trace=None):
+def _gradient_stage(K, L, z, sign, stats, trace=None):
     """Projected gradient with normalization retraction and Armijo backtracking.
 
     ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).
@@ -143,7 +172,7 @@ def _gradient_stage(K, L, z, sign, margin, stats, trace=None):
     """
     step = STEP_INIT
     try:
-        ev = evaluate(K, L, z, margin=margin)
+        ev = evaluate(K, L, z)
     except DegenerateSectionError:
         stats["degenerate_rejections"] += 1
         return z
@@ -164,7 +193,7 @@ def _gradient_stage(K, L, z, sign, margin, stats, trace=None):
             z_new = z + s * d
             z_new /= np.linalg.norm(z_new)
             try:
-                ev_new = evaluate(K, L, z_new, margin=margin)
+                ev_new = evaluate(K, L, z_new)
             except DegenerateSectionError:
                 s *= 0.5
                 continue
@@ -182,7 +211,7 @@ def _gradient_stage(K, L, z, sign, margin, stats, trace=None):
     return z
 
 
-def _residual_jacobian(K, L, z, margin):
+def _residual_jacobian(K, L, z):
     """Tangent chart Q at z and the central-difference Jacobian J of centroid - touch point in it.
 
     At a critical direction the Hessian of f in the chart is ``measure * Q^T J``.
@@ -192,25 +221,25 @@ def _residual_jacobian(K, L, z, margin):
     for j in range(Q.shape[1]):
         zp = z + FD_STEP * Q[:, j]
         zm = z - FD_STEP * Q[:, j]
-        rp = _residual_vector(K, L, zp / np.linalg.norm(zp), margin)
-        rm = _residual_vector(K, L, zm / np.linalg.norm(zm), margin)
+        rp = _residual_vector(K, L, zp / np.linalg.norm(zp))
+        rm = _residual_vector(K, L, zm / np.linalg.norm(zm))
         J[:, j] = (rp - rm) / (2.0 * FD_STEP)
     return Q, J
 
 
-def _polish(K, L, z, tol, margin, stats, max_iters=30):
+def _polish(K, L, z, tol, stats):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart."""
     try:
-        r = _residual_vector(K, L, z, margin)
+        r = _residual_vector(K, L, z)
     except DegenerateSectionError:
         stats["degenerate_rejections"] += 1
         return z, np.inf
     rn = np.linalg.norm(r)
-    for _ in range(max_iters):
+    for _ in range(POLISH_MAX_ITERS):
         if rn <= 0.25 * tol:
             break
         try:
-            Q, J = _residual_jacobian(K, L, z, margin)
+            Q, J = _residual_jacobian(K, L, z)
         except DegenerateSectionError:
             stats["degenerate_rejections"] += 1
             return z, rn
@@ -221,7 +250,7 @@ def _polish(K, L, z, tol, margin, stats, max_iters=30):
             z_new = z + damping * (Q @ delta)
             z_new /= np.linalg.norm(z_new)
             try:
-                r_new = _residual_vector(K, L, z_new, margin)
+                r_new = _residual_vector(K, L, z_new)
             except DegenerateSectionError:
                 damping *= 0.5
                 continue
@@ -236,22 +265,17 @@ def _polish(K, L, z, tol, margin, stats, max_iters=30):
     return z, rn
 
 
-def _classify(K, L, z, margin):
-    """Morse type and index of a critical direction from the eigenvalues of sym(Q^T J)."""
+def _classify(K, L, z):
+    """Morse index (negative eigenvalues of sym(Q^T J)); None if one is flat or a section degenerate."""
     try:
-        Q, J = _residual_jacobian(K, L, z, margin)
+        Q, J = _residual_jacobian(K, L, z)
     except (DegenerateSectionError, RejectedInstanceError):
-        return "unclassified", None
+        return None
     H = Q.T @ J
     eig = np.linalg.eigvalsh(0.5 * (H + H.T))
     if np.any(np.abs(eig) <= FLAT_EIGENVALUE * K.diameter()):
-        return "unclassified", None
-    index = int(np.count_nonzero(eig < 0))
-    if index == 0:
-        return "min", index
-    if index == len(eig):
-        return "max", index
-    return "saddle", index
+        return None
+    return int(np.count_nonzero(eig < 0))
 
 
 def solve(K, L, config=None):
@@ -263,7 +287,6 @@ def solve(K, L, config=None):
     cfg = config or SolverConfig()
     validate_instance(K, L)
     n = K.dim
-    margin = default_margin(K)
     count = cfg.resolved_starts(n)
     starts = _start_directions(n, count, cfg.seed)
     stats = {"iterations": 0, "degenerate_rejections": 0}
@@ -272,39 +295,31 @@ def solve(K, L, config=None):
     candidates = []
     for i, z in enumerate(starts):
         if i % 3 == 0:
-            z = _gradient_stage(K, L, z, +1.0, margin, stats)
+            z = _gradient_stage(K, L, z, +1.0, stats)
         elif i % 3 == 1:
-            z = _gradient_stage(K, L, z, -1.0, margin, stats)
-        z, res = _polish(K, L, z, cfg.residual_tol, margin, stats)
+            z = _gradient_stage(K, L, z, -1.0, stats)
+        z, res = _polish(K, L, z, cfg.residual_tol, stats)
         if res <= cfg.residual_tol:
             candidates.append((_canonical(z), res))
 
     clusters = _dedup(candidates)
     pairs = []
     for z, res, basin in clusters:
-        ev = evaluate(K, L, z, margin=margin, with_value=False)
-        kind, index = _classify(K, L, z, margin)
+        ev = evaluate(K, L, z)
         pairs.append(
             CriticalPair(
                 direction=z,
-                f_value=float(_f_value(K, L, z)),
+                f_value=float(ev.f_value),
                 residual=float(res),
                 centroid=ev.section.centroid,
                 touch_point=ev.touch_point,
-                kind=kind,
-                morse_index=index,
+                morse_index=_classify(K, L, z),
                 basin_count=basin,
             )
         )
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
     pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 
-    flat = sum(p.kind == "unclassified" for p in pairs)
-    justification = (
-        f"{flat}/{len(pairs)} pairs have a flat eigenvalue of sym(Q^T J) or a degenerate section"
-        if flat
-        else None
-    )
     fs = [p.f_value for p in pairs]
     stats.update(
         starts=count,
@@ -312,13 +327,7 @@ def solve(K, L, config=None):
         dedup_merges=len(candidates) - len(clusters),
         f_spread=max(fs) - min(fs) if fs else None,
     )
-    return TheoremReport(
-        dimension=n,
-        pairs=pairs,
-        degenerate_continuum=bool(flat),
-        continuum_justification=justification,
-        diagnostics=stats,
-    )
+    return TheoremReport(dimension=n, pairs=pairs, diagnostics=stats)
 
 
 def certify(report, dim):
@@ -351,39 +360,38 @@ def grid_census(K, L, resolution=10_000, residual_tol=1e-7):
     return sorted(((z, res) for z, res, _ in _dedup(results)), key=lambda zr: tuple(zr[0]))
 
 
-def _signed_gradient_2d(K, L, theta, margin):
+def _signed_gradient_2d(K, L, theta):
     z = np.array([np.cos(theta), np.sin(theta)])
     w = np.array([-z[1], z[0]])
-    r = _residual_vector(K, L, z, margin)
+    r = _residual_vector(K, L, z)
     return float(r @ w), float(np.linalg.norm(r - (r @ z) * z)), z
 
 
 def _grid_census_2d(K, L, resolution, residual_tol):
-    margin = default_margin(K)
     thetas = np.arange(resolution) * (np.pi / resolution)
     svals = np.empty(resolution)
     for i, th in enumerate(thetas):
-        svals[i] = _signed_gradient_2d(K, L, th, margin)[0]
+        svals[i] = _signed_gradient_2d(K, L, th)[0]
     results = []
     for i in range(resolution):
         a, b = thetas[i], thetas[i] + np.pi / resolution
         sa, sb = svals[i], svals[(i + 1) % resolution]  # periodic with period pi
         if sa == 0.0:
-            _, res, z = _signed_gradient_2d(K, L, a, margin)
+            _, res, z = _signed_gradient_2d(K, L, a)
             results.append((_canonical(z), res))
             continue
         if sa * sb >= 0.0:
             continue
         for _ in range(80):
             mid = 0.5 * (a + b)
-            sm, res, z = _signed_gradient_2d(K, L, mid, margin)
+            sm, res, z = _signed_gradient_2d(K, L, mid)
             if res <= 0.25 * residual_tol or b - a < 1e-15:
                 break
             if sa * sm <= 0.0:
                 b, sb = mid, sm
             else:
                 a, sa = mid, sm
-        _, res, z = _signed_gradient_2d(K, L, 0.5 * (a + b), margin)
+        _, res, z = _signed_gradient_2d(K, L, 0.5 * (a + b))
         if res <= residual_tol:
             results.append((_canonical(z), res))
     return results
@@ -435,7 +443,6 @@ def _icosphere(subdivisions):
 
 
 def _grid_census_3d(K, L, resolution, residual_tol):
-    margin = default_margin(K)
     subdivisions = 1
     while 12 * 4**subdivisions < resolution and subdivisions < 6:
         subdivisions += 1
@@ -443,7 +450,7 @@ def _grid_census_3d(K, L, resolution, residual_tol):
     residuals = np.empty(len(verts))
     for i, z in enumerate(verts):
         try:
-            r = _residual_vector(K, L, z, margin)
+            r = _residual_vector(K, L, z)
             residuals[i] = np.linalg.norm(r - (r @ z) * z)
         except DegenerateSectionError:
             residuals[i] = np.inf
@@ -456,7 +463,7 @@ def _grid_census_3d(K, L, resolution, residual_tol):
     for i, z in enumerate(verts):
         if any(residuals[j] < residuals[i] for j in neighbors[i]):
             continue  # not a local minimum of the residual
-        zp, res = _polish(K, L, z, residual_tol, margin, stats)
+        zp, res = _polish(K, L, z, residual_tol, stats)
         if res <= residual_tol:
             results.append((_canonical(zp), res))
     return results

@@ -69,7 +69,7 @@ def test_gradient_law(verdict):
         K = random_outer(rng, dim, outer_kinds[i % 4])
         L = random_inner(rng, dim, inner_kinds[i % 2], K)
         z = unit(rng.normal(size=dim))
-        ev = evaluate(K, L, z, with_value=False)
+        ev = evaluate(K, L, z)
         g = ev.tangential_gradient
         fd = fd_tangential_gradient(K, L, z, step=1e-5)
         # fully symmetric draws have an exactly-zero gradient, where a pure
@@ -106,12 +106,11 @@ def test_offset_derivative_sign(verdict):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_census_certifies(verdict, dim):
+def test_census_certifies(verdict, census_report, dim):
     """20 random instances per dimension all certify >= dim antipodal pairs."""
     failures = []
     for seed in range(20):
-        K, L = random_instance("ellipsoid_in_polytope", dim, 100 + seed)
-        report = solve(K, L, SolverConfig(starts=32 * dim, seed=100 + seed))
+        K, L, report = census_report(dim, 100 + seed)
         if not (certify(report, dim) and len(report.pairs) >= dim):
             failures.append(f"seed {100 + seed}: {len(report.pairs)} pairs")
             continue

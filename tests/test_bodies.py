@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
+from scipy.special import gammaln
 
 from capsec.bodies import (
     Ball,
@@ -157,6 +158,40 @@ class TestInradius:
         diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
         r = b.inradius_lower_bound()
         assert b.gauge(r * diag) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBodyConstants:
+    """Constants computed once per body equal the per-call formulas they replace, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_polytope_inradius(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        eye = np.eye(dim)
+        for _ in range(3):
+            pts = rng.normal(size=(3 * dim, dim))
+            normals = rng.normal(size=(dim, dim))
+            normals = np.vstack([eye, normals / np.linalg.norm(normals, axis=1, keepdims=True)])
+            offsets = rng.uniform(0.5, 1.5, size=len(normals))
+            for P in (
+                VPolytope.symmetric_hull(pts),
+                HPolytope(np.vstack([normals, -normals]), np.concatenate([offsets, offsets])),
+            ):
+                N, b = P.facet_equations
+                assert P.inradius_lower_bound() == float(np.min(b / np.linalg.norm(N, axis=1)))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_ellipsoid_volume_and_inradius(self, dim):
+        rng = np.random.default_rng(80 + dim)
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            E = Ellipsoid.from_semiaxes(rng.uniform(0.3, 1.5, size=dim), rotation=q)
+            w = np.linalg.eigh(0.5 * (E.shape_matrix + E.shape_matrix.T))[0]
+            assert E.volume() == unit_ball_volume(dim) / float(np.sqrt(np.prod(w)))
+            assert E.inradius_lower_bound() == float(1.0 / np.sqrt(w.max()))
+
+    def test_unit_ball_volume(self):
+        for n in range(1, 8):
+            assert unit_ball_volume(n) == float(np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)))
 
 
 ALL_BODIES = [

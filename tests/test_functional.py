@@ -80,7 +80,7 @@ class TestEvaluate:
         for K, L in pairs_3d():
             for _ in range(5):
                 z = unit(rng.normal(size=3))
-                ev = evaluate(K, L, z, with_value=False)
+                ev = evaluate(K, L, z)
                 assert ev.tangential_gradient @ z == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_formula_components(self):
@@ -99,7 +99,7 @@ class TestEvaluate:
         rng = np.random.default_rng(14)
         for K, L in pairs_3d():
             z = unit(rng.normal(size=3))
-            ev = evaluate(K, L, z, with_value=False)
+            ev = evaluate(K, L, z)
             gap = np.linalg.norm(ev.section.centroid - ev.touch_point)
             assert ev.residual == pytest.approx(gap, rel=1e-9, abs=1e-13)
 
@@ -145,7 +145,7 @@ class TestGradientAgreement:
         for K, L in pairs_3d():
             for _ in range(4):
                 z = unit(rng.normal(size=3))
-                g = evaluate(K, L, z, with_value=False).tangential_gradient
+                g = evaluate(K, L, z).tangential_gradient
                 fd = fd_tangential_gradient(K, L, z, step=1e-5)
                 scale = max(np.linalg.norm(g), np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(g - fd) / scale < 1e-4

@@ -47,11 +47,6 @@ class TestHyperplane:
         with pytest.raises(BodyError):
             Hyperplane(np.array([1.0, 1.0]), 0.5)
 
-    def test_normalized_constructor(self):
-        h = Hyperplane.normalized(np.array([3.0, 4.0]), 2.5)
-        assert np.linalg.norm(h.direction) == pytest.approx(1.0, abs=1e-15)
-        assert h.offset == pytest.approx(0.5)
-
     def test_chart_is_orthonormal(self):
         rng = np.random.default_rng(0)
         for dim in (2, 3, 4, 5):

@@ -86,28 +86,25 @@ class TestMorseIndex:
     sign, so axis probes alone would call them minima or maxima."""
 
     @pytest.mark.parametrize("seed", [101, 112, 118])
-    def test_census_pairs_satisfy_euler_characteristic(self, seed):
-        K, L = random_instance("ellipsoid_in_polytope", 3, seed)
-        report = solve(K, L, SolverConfig(starts=32 * 3, seed=seed))
+    def test_census_pairs_satisfy_euler_characteristic(self, census_report, seed):
+        _, _, report = census_report(3, seed)
         kinds = [p.kind for p in report.pairs]
         assert {"min", "saddle", "max"} <= set(kinds)
         # index 0 and 2 count +1, index 1 counts -1: chi(RP^2) = 1
         assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 1
 
-    def test_index_sum_in_four_dimensions(self):
+    def test_index_sum_in_four_dimensions(self, census_report):
         # index 1 and 2 are both saddles here, so the sum needs the index itself
-        K, L = random_instance("ellipsoid_in_polytope", 4, 100)
-        report = solve(K, L, SolverConfig(starts=32 * 4, seed=100))
+        _, _, report = census_report(4, 100)
         indices = [p.morse_index for p in report.pairs]
         assert None not in indices
         assert sum((-1) ** k for k in indices) == 0  # chi(RP^3)
 
 
 class TestDedup:
-    def test_close_min_and_max_stay_apart(self):
+    def test_close_min_and_max_stay_apart(self, census_report):
         # a min and a max 0.0063 rad apart; on RP^1 minima and maxima alternate
-        K, L = random_instance("ellipsoid_in_polytope", 2, 106)
-        report = solve(K, L, SolverConfig(starts=64, seed=106))
+        _, _, report = census_report(2, 106)
         kinds = sorted(p.kind for p in report.pairs)
         assert kinds == ["max", "max", "min", "min"]
 
@@ -189,7 +186,6 @@ class TestDeterminism:
 
 class TestMonotonicity:
     def test_descent_trace_decreases(self):
-        from capsec.functional import default_margin
         from capsec.solver import _gradient_stage
 
         K = cube(1.0, 2)
@@ -200,30 +196,27 @@ class TestMonotonicity:
             z0 = rng.normal(size=2)
             z0 /= np.linalg.norm(z0)
             trace = []
-            _gradient_stage(K, L, z0, +1.0, default_margin(K), stats, trace=trace)
+            _gradient_stage(K, L, z0, +1.0, stats, trace=trace)
             assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
             trace = []
-            _gradient_stage(K, L, z0, -1.0, default_margin(K), stats, trace=trace)
+            _gradient_stage(K, L, z0, -1.0, stats, trace=trace)
             assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
 
 
+def make_pair(dim, i=0, morse_index=None):
+    return CriticalPair(
+        direction=np.eye(dim)[i % dim],
+        f_value=float(i),
+        residual=1e-9,
+        centroid=np.zeros(dim),
+        touch_point=np.zeros(dim),
+        morse_index=morse_index,
+    )
+
+
 class TestCertify:
-    def make_report(self, npairs, dim, continuum=False):
-        pairs = [
-            CriticalPair(
-                direction=np.eye(dim)[i % dim],
-                f_value=float(i),
-                residual=1e-9,
-                centroid=np.zeros(dim),
-                touch_point=np.zeros(dim),
-            )
-            for i in range(npairs)
-        ]
-        return TheoremReport(
-            dimension=dim,
-            pairs=pairs,
-            degenerate_continuum=continuum,
-        )
+    def make_report(self, npairs, dim):
+        return TheoremReport(dimension=dim, pairs=[make_pair(dim, i) for i in range(npairs)])
 
     def test_enough_pairs(self):
         report = self.make_report(3, 3)
@@ -235,8 +228,38 @@ class TestCertify:
 
     def test_continuum_counts(self):
         # the continuum flag describes the pairs; only their count certifies
-        report = self.make_report(0, 3, continuum=True)
+        report = self.make_report(2, 3)  # no Morse index: every pair unclassified
+        assert report.degenerate_continuum
         assert not certify(report, 3) and not report.certified
+
+
+class TestDerivedLabels:
+    """Kinds, the continuum flag and the Euler sum are read off the Morse indices."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_kind_from_morse_index(self, dim):
+        expected = {None: "unclassified", 0: "min", dim - 1: "max"}
+        expected.update({k: "saddle" for k in range(1, dim - 1)})
+        for index, kind in expected.items():
+            assert make_pair(dim, morse_index=index).kind == kind
+
+    def test_one_unclassified_pair_flags_the_report(self):
+        report = TheoremReport(dimension=3, pairs=[make_pair(3, 0, morse_index=1), make_pair(3, 1)])
+        assert report.degenerate_continuum
+        assert report.continuum_justification.startswith("1/2 pairs have a flat eigenvalue")
+
+    def test_empty_report_is_not_flagged(self):
+        report = TheoremReport(dimension=3, pairs=[])
+        assert not report.degenerate_continuum
+        assert report.continuum_justification is None
+
+    def test_euler_sum(self):
+        complete = TheoremReport(3, [make_pair(3, i, morse_index=i) for i in range(3)])
+        assert complete.euler_sum == 1  # chi(RP^2)
+        assert not complete.degenerate_continuum
+        incomplete = TheoremReport(3, [make_pair(3, 0, morse_index=0), make_pair(3, 1)])
+        assert incomplete.euler_sum is None
+        assert TheoremReport(3, []).euler_sum is None
 
 
 class TestValidationUpfront:
