@@ -345,21 +345,27 @@ class VPolytope(ConvexBody):
         return normals, offsets
 
     @cached_property
-    def edges(self):
-        """Sorted index pairs into ``vertices`` of the edges of the construction hull's facets.
+    def boundary_simplices(self):
+        """(F, n) indices into ``vertices`` of the construction hull's boundary simplices.
 
-        qhull triangulates non-simplicial facets, so the pairs may include facet
-        diagonals; these are harmless for slicing, as their crossing points lie
-        on the slice polytope, never outside it.  In 2-D the facets are the edges.
+        qhull triangulates non-simplicial facets, so these (n-1)-simplices tile
+        the boundary of the polytope; in 2-D they are its edges.
         """
         hull = self._hull
         row = np.empty(len(hull.points), dtype=int)
         row[hull.vertices] = np.arange(len(hull.vertices))
-        pairs = set()
-        for simplex in row[hull.simplices]:
-            for a, b in itertools.combinations(simplex, 2):
-                pairs.add((min(a, b), max(a, b)))
-        return np.array(sorted(pairs), dtype=int)
+        return row[hull.simplices]
+
+    @cached_property
+    def edges(self):
+        """Sorted index pairs into ``vertices`` of the edges of the boundary simplices.
+
+        The pairs may include diagonals of non-simplicial facets; these are
+        harmless for slicing, as their crossing points lie on the slice
+        polytope, never outside it.
+        """
+        pairs = np.sort(self.boundary_simplices[:, list(itertools.combinations(range(self.dim), 2))], axis=2)
+        return np.unique(pairs.reshape(-1, 2), axis=0)
 
     def support(self, u):
         u = _as_vector(u, self.dim)

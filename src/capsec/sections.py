@@ -2,19 +2,24 @@
 
 For a body K and hyperplane ``H = {y : <x, y> = t}`` (unit ``x``) this module
 computes the cap volume ``vol{y in K : <x, y> >= t}``, the (n-1)-measure of
-``K ∩ H`` and its centroid.  Polytopes in any dimension are sliced exactly
-through their vertices and edges; an H-polytope is a V-polytope whose
-vertices were enumerated once at construction.  Balls and ellipsoids have
-closed forms.  Other bodies (lp-balls) are refused: the Monte Carlo oracles
-``mc_section`` and ``mc_cap_volume`` are called explicitly, for estimates and
-for cross-validation of the exact paths.
+``K ∩ H`` and its centroid.  A polytope section, in any dimension, is a sum
+of cones over the slices of the boundary simplices of the hull built when the
+polytope was constructed, so it builds no hull of its own.  A polytope cap
+volume still takes the hull of the kept vertices and the edge crossings, one
+per call.  An H-polytope is a V-polytope whose vertices were enumerated once
+at construction.  Balls and ellipsoids have closed forms.  Other bodies
+(lp-balls) are refused: the Monte Carlo oracles ``mc_section`` and
+``mc_cap_volume`` are called explicitly, for estimates and for
+cross-validation of the exact paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial
+from functools import cache
+from itertools import combinations
+from math import comb, factorial
 
 import numpy as np
 from scipy.optimize import linprog  # unused; perfbench/tracer.py wraps this name
@@ -145,31 +150,39 @@ def _slice_points(vertices, edges, d, t):
     return np.vstack([vertices[d == t], vertices[i] + s[:, None] * (vertices[j] - vertices[i])])
 
 
-def _chart_polytope_data(chart_pts):
-    """(measure, chart centroid) of the convex hull of points in chart coordinates.
+@cache
+def _cone_table(n):
+    """Slice simplices of a boundary (n-1)-simplex, by which of its vertices lie below H.
 
-    Triangulates the hull as a fan from an interior point and accumulates
-    simplex volumes and centroids.
+    A simplex whose vertices P lie on or above H and Q strictly below it (p, q
+    >= 1) meets H in the product of simplices Δ^{p-1}×Δ^{q-1}, with one vertex
+    on each edge from P to Q.  Its staircase triangulation has one
+    (n-2)-simplex per monotone lattice path from (0, 0) to (p-1, q-1), so one
+    simplex when p = 1 or q = 1.  Returns ``(weights, valid, ends)``: a simplex
+    has code ``(s < 0) @ weights``, its m-th slice simplex exists where
+    ``valid[code, m]``, and ``ends[code, m]`` holds the simplex columns of the
+    P end (row 0) and the Q end (row 1) of the edge under each of that slice
+    simplex's n-1 vertices.
     """
-    m, k = chart_pts.shape
-    if k == 1:
-        lo, hi = float(chart_pts.min()), float(chart_pts.max())
-        if hi <= lo:
-            return 0.0, None
-        return hi - lo, np.array([0.5 * (lo + hi)])
-    try:
-        hull = ConvexHull(chart_pts)
-    except QhullError:
-        return 0.0, None
-    interior = chart_pts[hull.vertices].mean(axis=0)
-    facets = chart_pts[hull.simplices]  # (F, k, k): the k vertices of each hull facet
-    vols = np.abs(np.linalg.det(facets - interior)) / factorial(k)
-    # cumsum adds left to right like a scalar loop (sum() is pairwise), keeping report bytes stable
-    total = np.cumsum(vols)[-1]
-    first_moment = np.cumsum(vols[:, None] * (facets.sum(axis=1) + interior) / (k + 1), axis=0)[-1]
-    if total <= 0.0:
-        return 0.0, None
-    return total, first_moment / total
+    valid = np.zeros((2**n, comb(n - 2, (n - 2) // 2)), dtype=bool)
+    ends = np.zeros((*valid.shape, 2, n - 1), dtype=int)
+    for code in range(1, 2**n - 1):
+        below = [k for k in range(n) if code >> k & 1]
+        above = [k for k in range(n) if not code >> k & 1]
+        for m, ups in enumerate(combinations(range(n - 2), len(above) - 1)):
+            a = b = 0
+            ends[code, m, :, 0] = above[a], below[b]
+            for step in range(n - 2):
+                if step in ups:
+                    a += 1
+                else:
+                    b += 1
+                ends[code, m, :, step + 1] = above[a], below[b]
+            valid[code, m] = True
+    weights = 1 << np.arange(n)
+    for table in (weights, valid, ends):
+        table.setflags(write=False)  # shared by every caller through the cache
+    return weights, valid, ends
 
 
 def _canonical_plane(x, t):
@@ -189,18 +202,42 @@ def _canonical_plane(x, t):
     return x, t, 1.0
 
 
-def _polytope_section(vertices, edges, H):
+def _polytope_section(K, H):
+    """Section of a polytope as a sum of cones over the slices of its boundary simplices.
+
+    Ties count as above H, so every slice vertex is an edge fraction in
+    [0, 1).  The cones share their apex, the mean of the slice vertices, which
+    lies in K ∩ H: every cone volume is nonnegative and no sum cancels, however
+    small the section.
+    """
     x, t, sgn = _canonical_plane(H.direction, H.offset)
-    pts = _slice_points(vertices, edges, vertices @ x, t)
-    n = vertices.shape[1]
-    if len(pts) < n:
+    V, simplices, n = K.vertices, K.boundary_simplices, K.dim
+    d = V @ x
+    if t >= d.max():
         return SectionData(0.0, None, SectionMethod.EXACT)
-    Q = hyperplane_chart(x)
-    measure, chart_centroid = _chart_polytope_data(pts @ Q)
-    if chart_centroid is None:
+    s = d[simplices] - t
+    weights, valid, ends = _cone_table(n)
+    code = (s < 0.0) @ weights
+    rows, slots = np.nonzero(valid[code])
+    cols = ends[code[rows], slots]  # (cones, 2, n-1)
+    rows = rows[:, None, None]
+    se, ve = s[rows, cols], V[simplices[rows, cols]]  # (cones, 2, n-1) and (cones, 2, n-1, n)
+    si, sj, vi, vj = se[:, 0], se[:, 1], ve[:, 0], ve[:, 1]
+    pts = vi + (si / (si - sj))[..., None] * (vj - vi)  # (cones, n-1, n)
+    apex = pts.reshape(-1, n).mean(axis=0)
+    # |det[x, spokes]| is the (n-1)-volume of the spokes' parallelotope in H
+    frame = np.empty((len(pts), n, n))
+    frame[:, 0] = x
+    spokes = frame[:, 1:]
+    np.subtract(pts, apex, out=spokes)
+    dets = np.abs(np.linalg.det(frame))
+    # cumsum adds left to right like a scalar loop (sum() is pairwise), keeping report bytes stable
+    total = np.cumsum(dets)[-1]
+    if total <= 0.0:
         return SectionData(0.0, None, SectionMethod.EXACT)
-    centroid = sgn * (t * x + Q @ chart_centroid)
-    return SectionData(measure, centroid, SectionMethod.EXACT)
+    # a cone's centroid is apex + (sum of its spokes) / n
+    first_moment = np.cumsum(dets[:, None] * spokes.sum(axis=1), axis=0)[-1]
+    return SectionData(total / factorial(n - 1), sgn * (apex + first_moment / (n * total)), SectionMethod.EXACT)
 
 
 def _clipped_polytope_volume(vertices, edges, x, t):
@@ -266,9 +303,7 @@ def section(K, H):
     if isinstance(K, Ellipsoid):
         return _ellipsoid_section(K, x, t)
     if isinstance(K, VPolytope):
-        if abs(t) >= K.support(x):
-            return SectionData(0.0, None, SectionMethod.EXACT)
-        return _polytope_section(K.vertices, K.edges, H)
+        return _polytope_section(K, H)
     raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
 

@@ -329,6 +329,17 @@ class TestEdges:
             assert P.edges.tobytes() == fresh_hull_edges(P).tobytes()
             assert P.edges.shape[1] == 2 and P.edges.max() < len(P.vertices)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_boundary_simplices_tile_the_boundary(self, dim):
+        # cones from the origin over the boundary simplices fill the polytope once
+        rng = np.random.default_rng(70 + dim)
+        pts = rng.normal(size=(3 * dim, dim))
+        for P in [cube(0.8, dim), VPolytope.symmetric_hull(pts / np.linalg.norm(pts, axis=1, keepdims=True))]:
+            S = P.boundary_simplices
+            assert S.shape[1] == dim and S.max() < len(P.vertices)
+            cones = np.abs(np.linalg.det(P.vertices[S])) / np.prod(np.arange(1, dim + 1))
+            assert cones.sum() == pytest.approx(P.volume(), rel=1e-12)
+
     def test_planar_vertices_counter_clockwise(self):
         # the SVG outline draws a planar polytope's vertices in stored order
         rng = np.random.default_rng(5)

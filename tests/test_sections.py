@@ -3,6 +3,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
 from capsec import bodies, sections
@@ -137,21 +139,22 @@ class TestSection:
         assert sec.centroid == pytest.approx(np.array([0.3, 0.0]))
         assert sec.method is SectionMethod.EXACT
 
-    def test_h_polytope_section_builds_one_hull(self, monkeypatch):
-        # once K's edges exist, the slice's own hull is the only qhull build:
-        # the measure floor reads K's volume from the hull made at construction
-        K, L, z = cube(1.0, 3), Ball(0.5, 3), unit([0.3, -0.5, 0.8])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_h_polytope_section_builds_no_hull(self, dim, monkeypatch):
+        # a section is cut from the boundary simplices of the hull made at
+        # construction, and the measure floor reads K's volume from that hull
+        K, L, z = cube(1.0, dim), Ball(0.5, dim), unit(np.arange(1.0, dim + 1.0) * (-1.0) ** np.arange(dim))
         _touch_and_section(K, L, z)
         calls = count_hull_builds(monkeypatch)
         _touch_and_section(K, L, z)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
-    def test_polytope_builds_two_hulls_cold(self, monkeypatch):
-        # from construction through the first section: the hull made at
-        # construction (which also gives the edges), then the slice's own hull
+    def test_polytope_builds_one_hull_cold(self, monkeypatch):
+        # from construction through the first section, the hull made at
+        # construction is the only one
         calls = count_hull_builds(monkeypatch)
         _touch_and_section(cube(1.0, 3), Ball(0.5, 3), unit([0.3, -0.5, 0.8]))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_ellipsoid_section_matches_chart_oracle(self):
         rng = np.random.default_rng(13)
@@ -288,7 +291,9 @@ class TestExactSlicingBeyondFourDimensions:
 
 
 # Reference loops: one slice point per edge and one det per hull facet.  The
-# library's whole-array versions must reproduce them bit for bit.
+# cap volume's whole-array slice points must reproduce them bit for bit, and
+# together they slice a polytope through a qhull hull of the slice in a chart
+# of H: the oracle that the cone sums of ``section`` are held to.
 
 
 def loop_slice_points(vertices, edges, d, t):
@@ -338,6 +343,21 @@ def loop_hyperplane_chart(x):
     return np.column_stack(cols)
 
 
+def qhull_section(K, H):
+    """(measure, centroid) of ``K ∩ H`` from the slice points' qhull hull; (0.0, None) if degenerate."""
+    if abs(H.offset) >= K.support(H.direction):
+        return 0.0, None
+    x, t, sgn = sections._canonical_plane(H.direction, H.offset)
+    pts = loop_slice_points(K.vertices, K.edges, K.vertices @ x, t)
+    if len(pts) < K.dim:
+        return 0.0, None
+    Q = loop_hyperplane_chart(x)
+    measure, chart_centroid = loop_chart_polytope_data(pts @ Q)
+    if chart_centroid is None:
+        return 0.0, None
+    return measure, sgn * (t * x + Q @ chart_centroid)
+
+
 class TestWholeArraySlicingIsBitIdentical:
     def polytopes(self, dim):
         rng = np.random.default_rng(40 + dim)
@@ -353,27 +373,29 @@ class TestWholeArraySlicingIsBitIdentical:
         d = verts @ x
         yield Hyperplane(x, float(np.sort(d)[len(d) // 2 - 1]))
 
-    def results(self, K, planes):
-        """(measure, centroid, cap volume) bytes per plane: equal bytes means equal bits."""
-        out = []
-        for H in planes:
-            sec = section(K, H)
-            centroid = None if sec.degenerate else sec.centroid.tobytes()
-            out.append((np.float64(sec.measure).tobytes(), centroid, np.float64(cap_volume(K, H)).tobytes()))
-        return out
+    def caps(self, K, planes):
+        """Cap volume bytes per plane: equal bytes means equal bits."""
+        return [np.float64(cap_volume(K, H)).tobytes() for H in planes]
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_sections_and_caps_match_loops(self, dim, monkeypatch):
         for K in self.polytopes(dim):
             planes = list(self.planes(K, np.random.default_rng(dim)))
-            fast = self.results(K, planes)
+            fast = self.caps(K, planes)
             with monkeypatch.context() as m:
                 m.setattr(sections, "_slice_points", loop_slice_points)
-                m.setattr(sections, "_chart_polytope_data", loop_chart_polytope_data)
-                m.setattr(sections, "hyperplane_chart", loop_hyperplane_chart)
-                slow = self.results(K, planes)
+                slow = self.caps(K, planes)
             assert fast == slow
-            assert sum(centroid is not None for _, centroid, _ in fast) >= 20
+            nondegenerate = 0
+            for H in planes:
+                sec = section(K, H)
+                measure, centroid = qhull_section(K, H)
+                assert sec.degenerate is (centroid is None)
+                if centroid is not None:
+                    nondegenerate += 1
+                    assert sec.measure == pytest.approx(measure, rel=1e-12, abs=0.0)
+                    assert sec.centroid == pytest.approx(centroid, rel=0.0, abs=1e-12)
+            assert nondegenerate >= 20
 
     def test_cube_vertices_on_plane(self):
         # x = (1, 1, 0)/sqrt(2), t = 0 holds the four cube vertices with y1 = -y2
@@ -398,6 +420,97 @@ class TestWholeArraySlicingIsBitIdentical:
         directions += [np.eye(4)[1], -np.eye(3)[2], unit([0.0, -1.0, 1.0, 0.0])]
         for x in directions:
             assert hyperplane_chart(x).tobytes() == loop_hyperplane_chart(x).tobytes()
+
+
+TIE_EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
+tie_dims = st.sampled_from([2, 3, 4])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def tie_polytope(kind, dim, seed):
+    return cube(0.8, dim) if kind == "cube" else random_vpolytope(np.random.default_rng(seed), dim)
+
+
+tie_polytopes = st.builds(tie_polytope, st.sampled_from(["cube", "random"]), tie_dims, seeds)
+
+
+class TestConeSlicingAtTies:
+    """Cone sums against the qhull oracle where vertices, edges or facets meet H."""
+
+    def check(self, K, H):
+        sec = section(K, H)
+        measure, centroid = qhull_section(K, H)
+        assert sec.degenerate is (centroid is None)
+        assert np.isfinite(sec.measure)
+        if centroid is None:
+            return
+        x, t = H.direction, H.offset
+        h = K.support(x)
+        gap = h - abs(t)
+        # the slice's vertices carry O(eps h) errors against a size O(gap):
+        # that ratio bounds how closely any two exact slicers can agree
+        assert np.all(np.isfinite(sec.centroid))
+        assert sec.measure == pytest.approx(measure, rel=max(1e-12, 1e-14 * h / gap), abs=0.0)
+        assert sec.centroid == pytest.approx(centroid, rel=0.0, abs=1e-12)
+        if t < 0.0:
+            x, t = -x, -t  # the same section, seen from its smaller cap
+        step = min(1e-6 * h, 1e-2 * gap)
+        dv = (cap_volume(K, Hyperplane(x, t + step)) - cap_volume(K, Hyperplane(x, t - step))) / (2 * step)
+        # the measure may have a kink at t (n = 2 through a vertex): the central
+        # difference is the mean of -measure over [t - step, t + step], which
+        # the trapezoid rule on both halves gives to O(step^2)
+        lo, hi = (section(K, Hyperplane(x, t + u)).measure for u in (-step, step))
+        assert dv == pytest.approx(-(lo + 2.0 * sec.measure + hi) / 4.0, rel=1e-4)
+
+    @TIE_EXAMPLES
+    @given(tie_polytopes, seeds, st.integers(0, 10**6))
+    def test_plane_through_a_vertex(self, K, seed, pick):
+        # offsets from the product the slicer forms, so the extreme vertices give supporting planes
+        x = unit(np.random.default_rng(seed).normal(size=K.dim))
+        self.check(K, Hyperplane(x, float((K.vertices @ x)[pick % len(K.vertices)])))
+
+    @TIE_EXAMPLES
+    @given(
+        tie_dims,
+        st.integers(0, 3),
+        st.sampled_from([1.0, -1.0]),
+        st.one_of(st.floats(-0.999, 0.999), st.sampled_from([-1.0, 0.0, 1.0])),
+    )
+    def test_cube_axis_direction(self, dim, axis, sign, frac):
+        # the facets normal to the axis are parallel to H; thinner slabs than
+        # 1e-3 break the cap volume's hull (test_thin_cube_slab_cap_volume)
+        K = cube(0.8, dim)
+        self.check(K, Hyperplane(sign * np.eye(dim)[axis % dim], 0.8 * frac))
+
+    @TIE_EXAMPLES
+    @given(tie_dims, st.integers(0, 3), st.integers(1, 3), st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
+    def test_plane_containing_boundary_faces(self, dim, a, shift, sa, sb):
+        # x = (±e_a ± e_b)/sqrt(2), t = 0 holds two opposite (n-2)-faces of the cube
+        a, b = a % dim, (a + shift) % dim
+        if a == b:
+            b = (a + 1) % dim
+        x = np.zeros(dim)
+        x[a], x[b] = sa, sb
+        self.check(cube(0.8, dim), Hyperplane(unit(x), 0.0))
+
+    @TIE_EXAMPLES
+    @given(tie_polytopes, seeds, st.sampled_from([1.0, -1.0]))
+    def test_near_tangent_offsets(self, K, seed, sign):
+        x = unit(np.random.default_rng(seed).normal(size=K.dim))
+        self.check(K, Hyperplane(x, sign * (1.0 - 1e-9) * K.support(x)))
+
+    @pytest.mark.xfail(strict=True, reason="qhull aborts on the slab's cloud with a wide merge, and the cap reads 0")
+    def test_thin_cube_slab_cap_volume(self):
+        K, x = cube(0.8, 4), -np.eye(4)[0]
+        t = 0.8 * (1.0 - 1e-9) + 8e-13
+        assert cap_volume(K, Hyperplane(x, t)) == pytest.approx(1.6**3 * (0.8 - t), rel=1e-6)
+
+    def test_cube_edge_plane(self):
+        # x = (1, 1, 0)/sqrt(2), t = 0 holds two edges of the cube: the section is a 2 x 2 sqrt(2) rectangle
+        K = cube(1.0, 3)
+        sec = section(K, Hyperplane(unit([1.0, 1.0, 0.0]), 0.0))
+        assert sec.measure == pytest.approx(2.0 * 2.0 * np.sqrt(2.0), rel=1e-14)
+        assert sec.centroid == pytest.approx(np.zeros(3), abs=1e-15)
 
 
 class TestDerivativeIdentities:
