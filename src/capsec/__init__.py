@@ -20,7 +20,6 @@ from .families import FAMILIES, random_instance
 from .functional import (
     DegenerateSectionError,
     FunctionalEval,
-    OffsetFunctional,
     RejectedInstanceError,
     evaluate,
     fd_tangential_gradient,

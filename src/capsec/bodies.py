@@ -223,9 +223,6 @@ class Ellipsoid(ConvexBody):
     def extreme_directions(self):
         return np.vstack([np.eye(self.dim), self._eigvecs.T])
 
-    def semiaxes(self):
-        return 1.0 / np.sqrt(self._eigvals)
-
     def inradius_lower_bound(self):
         return self._inradius
 
@@ -393,9 +390,6 @@ class VPolytope(ConvexBody):
     def inradius_lower_bound(self):
         return self._inradius
 
-    def scaled(self, factor):
-        return VPolytope(self.vertices * factor)
-
 
 class HPolytope(VPolytope):
     """Intersection of halfspaces ``<n_i, x> <= b_i`` with unit normals closed under negation.
@@ -443,9 +437,6 @@ class HPolytope(VPolytope):
     def _contains(self, pts):
         # no slack: the given facets are exact, unlike qhull's
         return np.all(pts @ self.normals.T <= self.offsets[None, :], axis=1)
-
-    def scaled(self, factor):
-        return HPolytope(self.normals, self.offsets * factor)
 
 
 def cube(halfwidth, dim):

@@ -11,6 +11,7 @@ import csv
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,10 +27,29 @@ from .svgfig import render_instance
 
 __all__ = ["main"]
 
+# fixture bodies: the cube [-1, 1]^n around a ball of radius --offset, and the
+# unit ball around a fixed ellipsoid; pair geometry must hold to FIXTURE_TOL
+FIXTURE_CUBE_HALFWIDTH = 1.0
+FIXTURE_BALL_RADIUS = 1.0
+FIXTURE_TOL = 1e-6
+
 
 def _fail(message, code=1):
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+@contextmanager
+def _csv_rows(path, fieldnames):
+    """A DictWriter, header written, on the file at ``path`` or on stdout for '-'."""
+    out = open(path, "w", newline="") if path != "-" else sys.stdout
+    try:
+        writer = csv.DictWriter(out, fieldnames=fieldnames)
+        writer.writeheader()
+        yield writer
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _solver_overrides(args):
@@ -44,12 +64,14 @@ def _solver_overrides(args):
 
 
 def cmd_check_gradient(args):
+    if args.directions < 1:
+        return _fail("directions must be at least 1")
     try:
         spec = load_instance_spec(args.spec)
         validate_instance(spec.K, spec.L)
     except (SpecError, RejectedInstanceError) as exc:
         return _fail(str(exc))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.solver.seed)))
     rows = []
     worst = 0.0
     for i in range(args.directions):
@@ -68,14 +90,8 @@ def cmd_check_gradient(args):
                 "rel_error": f"{err:.6g}",
             }
         )
-    out = open(args.out, "w", newline="") if args.out != "-" else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else ["index"])
-        writer.writeheader()
+    with _csv_rows(args.out, list(rows[0])) as writer:
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"checked {args.directions} directions, max relative error {worst:.3g}")
     return 0 if worst <= args.threshold else 2
 
@@ -89,7 +105,7 @@ def cmd_solve(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
-    json_path.write_bytes(dump_report(spec.K, spec.L, report, spec.seed))
+    json_path.write_bytes(dump_report(spec.K, spec.L, report, spec.solver.seed))
     print(f"wrote {json_path}")
     if spec.dimension == 2 and not args.no_svg:
         svg_path = out_dir / "solution.svg"
@@ -106,6 +122,10 @@ def cmd_solve(args):
 def cmd_census(args):
     if args.family not in FAMILIES:
         return _fail(f"unknown family {args.family}")
+    if args.dimension < 2:
+        return _fail("dimension must be >= 2")
+    if args.instances < 1:
+        return _fail("instances must be at least 1")
     options = {"starts": args.starts, "residual_tol": args.residual_tol}
     try:
         config = SolverConfig(**{k: v for k, v in options.items() if v is not None})
@@ -124,13 +144,10 @@ def cmd_census(args):
         "euler_sum",
         "wall_time_s",
     ]
-    seeds = np.random.SeedSequence(args.seed).generate_state(max(args.instances, 1))
+    seeds = np.random.SeedSequence(args.seed).generate_state(args.instances)
     all_certified = True
     pair_counts = []
-    out = open(args.out, "w", newline="") if args.out != "-" else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
-        writer.writeheader()
+    with _csv_rows(args.out, fieldnames) as writer:
         for i in range(args.instances):
             t0 = time.perf_counter()
             K, L = random_instance(args.family, args.dimension, int(seeds[i]))
@@ -152,23 +169,21 @@ def cmd_census(args):
                     "wall_time_s": f"{elapsed:.3f}",
                 }
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if pair_counts:
-        print(
-            f"census: {args.instances} instances, min pairs {min(pair_counts)}, "
-            f"median pairs {statistics.median(pair_counts)}"
-        )
+    print(
+        f"census: {args.instances} instances, min pairs {min(pair_counts)}, "
+        f"median pairs {statistics.median(pair_counts)}"
+    )
     return 0 if all_certified else 2
 
 
 def cmd_fixtures(args):
     n = args.dimension
+    if n < 2:
+        return _fail("dimension must be >= 2")
     violations = []
 
     # fixed-distance sections: K a cube, L a ball of radius t < inradius(K)
-    K1 = cube(args.cube_halfwidth, n)
+    K1 = cube(FIXTURE_CUBE_HALFWIDTH, n)
     if not (0.0 < args.offset < K1.inradius_lower_bound()):
         return _fail(
             f"offset {args.offset} must lie in (0, inradius {K1.inradius_lower_bound():g}) of K"
@@ -178,7 +193,7 @@ def cmd_fixtures(args):
         violations.append(f"fixed-distance fixture: only {len(report1.pairs)} pairs, need {n}")
     for p in report1.pairs:
         dev = float(np.linalg.norm(p.centroid - args.offset * p.direction))
-        if dev > args.tolerance:
+        if dev > FIXTURE_TOL:
             violations.append(
                 f"fixed-distance fixture: centroid deviates from t*direction by {dev:.3g}"
             )
@@ -190,14 +205,14 @@ def cmd_fixtures(args):
 
     # orthogonal tangency: K a ball, L a strictly convex body
     semiaxes = np.linspace(0.6, 0.4, n)
-    report2 = solve(Ball(args.ball_radius, n), Ellipsoid.from_semiaxes(semiaxes), SolverConfig(seed=args.seed))
+    report2 = solve(Ball(FIXTURE_BALL_RADIUS, n), Ellipsoid.from_semiaxes(semiaxes), SolverConfig(seed=args.seed))
     if not report2.certified:
         violations.append(f"orthogonal-tangency fixture: only {len(report2.pairs)} pairs, need {n}")
     worst = 0.0
     for p in report2.pairs:
         tangential = p.touch_point - (p.touch_point @ p.direction) * p.direction
         worst = max(worst, float(np.linalg.norm(tangential)))
-        if np.linalg.norm(tangential) > args.tolerance:
+        if np.linalg.norm(tangential) > FIXTURE_TOL:
             violations.append(
                 f"orthogonal-tangency fixture: touch point not parallel to direction "
                 f"(deviation {np.linalg.norm(tangential):.3g})"
@@ -249,9 +264,6 @@ def build_parser():
     p = sub.add_parser("fixtures", help="analytic fixture checks (ball specializations)")
     p.add_argument("--dimension", type=int, default=3)
     p.add_argument("--offset", type=float, default=0.5)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--cube-halfwidth", type=float, default=1.0)
-    p.add_argument("--ball-radius", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fixtures)
     return parser

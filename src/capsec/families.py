@@ -33,11 +33,10 @@ def _random_directions(rng, count, dim):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def random_symmetric_vpolytope(rng, dim, shell_semiaxes=None, points=None):
-    """Hull of +/-(random points on a sphere or ellipsoid shell)."""
-    m = points if points is not None else 3 * dim
+def random_symmetric_vpolytope(rng, dim, shell_semiaxes=None):
+    """Hull of +/-(3 * dim random points on a sphere or ellipsoid shell)."""
     for _ in range(20):
-        dirs = _random_directions(rng, m, dim)
+        dirs = _random_directions(rng, 3 * dim, dim)
         if shell_semiaxes is not None:
             dirs = dirs * np.asarray(shell_semiaxes)
         try:
@@ -54,9 +53,9 @@ def random_ellipsoid(rng, dim, semiaxis_range=(0.3, 1.0)):
     return Ellipsoid.from_semiaxes(semiaxes, rotation=random_rotation(rng, dim))
 
 
-def fit_inside(K, L, rel_margin=FIT_REL_MARGIN):
-    """Rescale L so that ``contains_body(K, L, rel_margin * inradius(K))`` holds."""
-    margin = rel_margin * K.inradius_lower_bound()
+def fit_inside(K, L):
+    """Rescale L so that ``contains_body(K, L, FIT_REL_MARGIN * inradius(K))`` holds."""
+    margin = FIT_REL_MARGIN * K.inradius_lower_bound()
     dirs = np.vstack([sphere_net(K.dim, _FIT_NET_SIZE), K.extreme_directions(), L.extreme_directions()])
     ratio = min((K.support(u) - margin) / L.support(u) for u in dirs)
     scale = 0.9 * ratio

@@ -25,7 +25,6 @@ __all__ = [
     "validate_instance",
     "evaluate",
     "fd_tangential_gradient",
-    "OffsetFunctional",
 ]
 
 
@@ -141,39 +140,3 @@ def fd_tangential_gradient(K, L, z, step=1e-5):
         grad += coeff * w
     return grad
 
-
-class OffsetFunctional:
-    """Cap volume with a general positive C^1 offset function h on the sphere.
-
-    ``h(z) = const`` reproduces fixed-distance sections; ``h = support of L``
-    reproduces the main objective.  ``offset_grad`` must return the ambient
-    gradient of (a 1-homogeneous extension of) h.
-    """
-
-    def __init__(self, K, offset_fn, offset_grad):
-        self.K = K
-        self.offset_fn = offset_fn
-        self.offset_grad = offset_grad
-
-    def value(self, z):
-        z = _unit(z)
-        return cap_volume(self.K, Hyperplane(z, self.offset_fn(z)))
-
-    def section(self, z):
-        z = _unit(z)
-        return section(self.K, Hyperplane(z, self.offset_fn(z)))
-
-    def gradient(self, z):
-        """Ambient gradient: -grad_h(z) * measure + P_{z_perp}[moment]."""
-        z = _unit(z)
-        sec = self.section(z)
-        if sec.degenerate:
-            raise DegenerateSectionError(z, sec.measure)
-        moment = sec.moment
-        proj_moment = moment - (moment @ z) * z
-        return -np.asarray(self.offset_grad(z), dtype=float) * sec.measure + proj_moment
-
-    def tangential_gradient(self, z):
-        z = _unit(z)
-        g = self.gradient(z)
-        return g - (g @ z) * z

@@ -67,11 +67,8 @@ def report_to_dict(K, L, report, seed):
         "degenerate_continuum": bool(report.degenerate_continuum),
         "continuum_justification": report.continuum_justification,
         "diagnostics": {
-            "starts": int(report.diagnostics.get("starts", 0)),
-            "converged": int(report.diagnostics.get("converged", 0)),
-            "dedup_merges": int(report.diagnostics.get("dedup_merges", 0)),
-            "iterations": int(report.diagnostics.get("iterations", 0)),
-            "degenerate_rejections": int(report.diagnostics.get("degenerate_rejections", 0)),
+            key: int(report.diagnostics[key])
+            for key in ("starts", "converged", "dedup_merges", "iterations", "degenerate_rejections")
         },
     }
 

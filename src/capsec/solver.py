@@ -341,7 +341,7 @@ def certify(report, dim):
 # --- exhaustive low-dimensional oracle --------------------------------------
 
 
-def grid_census(K, L, resolution=10_000, residual_tol=1e-7):
+def grid_census(K, L, resolution=10_000):
     """Exhaustive critical-pair search on a dense grid (n = 2 or 3).
 
     n=2: signed tangential gradient on a uniform half-circle grid, sign-change
@@ -351,6 +351,7 @@ def grid_census(K, L, resolution=10_000, residual_tol=1e-7):
     ``DEDUP_ANGLE`` as in ``solve``, in direction order.
     """
     validate_instance(K, L)
+    residual_tol = SolverConfig().residual_tol
     if K.dim == 2:
         results = _grid_census_2d(K, L, resolution, residual_tol)
     elif K.dim == 3:

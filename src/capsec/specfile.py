@@ -43,8 +43,7 @@ class InstanceSpec:
     dimension: int
     K: ConvexBody
     L: ConvexBody
-    solver: SolverConfig
-    seed: int = 0
+    solver: SolverConfig  # its seed is the spec's top-level ``seed``
 
 
 def _parse_matrix(value, field_name):
@@ -170,7 +169,7 @@ def parse_instance_spec(text, overrides=None):
     except BodyError as exc:
         raise SpecError(str(exc)) from exc
 
-    return InstanceSpec(dimension=dim, K=K, L=L, solver=config, seed=seed)
+    return InstanceSpec(dimension=dim, K=K, L=L, solver=config)
 
 
 def load_instance_spec(path, overrides=None):

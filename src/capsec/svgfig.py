@@ -11,6 +11,7 @@ from .bodies import VPolytope
 __all__ = ["render_instance"]
 
 _OUTLINE_SAMPLES = 256
+_SIZE = 600  # width and height of the figure in px
 
 
 def _fmt(x):
@@ -30,13 +31,13 @@ def _path(points, to_px, **attrs):
     return dict(attrs, d=d)
 
 
-def render_instance(K, L, report, path, size=600):
+def render_instance(K, L, report, path):
     """Write an SVG with K, L, one tangent line per critical direction (both
     members of each pair) and one centroid marker per pair."""
     if K.dim != 2:
         raise ValueError("SVG rendering is only available for n = 2")
     extent = 1.15 * float(np.max(K.bounding_halfwidths()))
-    scale = size / (2.0 * extent)
+    scale = _SIZE / (2.0 * extent)
 
     def to_px(p):
         return (scale * (p[0] + extent), scale * (extent - p[1]))
@@ -44,11 +45,11 @@ def render_instance(K, L, report, path, size=600):
     svg = ET.Element(
         "svg",
         xmlns="http://www.w3.org/2000/svg",
-        width=str(size),
-        height=str(size),
-        viewBox=f"0 0 {size} {size}",
+        width=str(_SIZE),
+        height=str(_SIZE),
+        viewBox=f"0 0 {_SIZE} {_SIZE}",
     )
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(size), height=str(size), fill="white")
+    ET.SubElement(svg, "rect", x="0", y="0", width=str(_SIZE), height=str(_SIZE), fill="white")
     ET.SubElement(
         svg, "path", **_path(_boundary_points(K), to_px), fill="none",
         stroke="#1f77b4", attrib={"stroke-width": "2", "class": "body-outer"},

@@ -128,6 +128,32 @@ def test_census_certifies(verdict, census_report, dim):
     )
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polytope_in_ellipsoid_hull_certifies(verdict, dim):
+    """Ball in a random polytope, seeds 0-2: certified, on L's boundary, Euler sum chi(RP^{n-1})."""
+    chi = 1 if dim % 2 else 0
+    failures = []
+    for seed in range(3):
+        K, L = random_instance("polytope_in_ellipsoid_hull", dim, seed)
+        report = solve(K, L, SolverConfig(seed=seed))
+        if not report.certified:
+            failures.append(f"seed {seed}: {len(report.pairs)} pairs")
+        if report.euler_sum != chi:
+            failures.append(f"seed {seed}: Euler sum {report.euler_sum}, chi = {chi}")
+        for p in report.pairs:
+            if p.residual > 1e-7:
+                failures.append(f"seed {seed}: residual {p.residual:.3g}")
+            gauge_err = abs(L.gauge(p.centroid) - 1.0)
+            if gauge_err > 1e-5:
+                failures.append(f"seed {seed}: |gauge - 1| = {gauge_err:.3g}")
+    verdict(
+        not failures,
+        f"dimension {dim}: 3/3 instances certified with Euler sum {chi}"
+        if not failures
+        else f"dimension {dim}: {failures}",
+    )
+
+
 def test_solver_matches_exhaustive_grid(verdict):
     """n = 2: multi-start solver finds exactly the grid-census critical pairs."""
     mismatches = []

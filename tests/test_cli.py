@@ -215,6 +215,35 @@ class TestSolverOptionErrors:
         assert not out.exists()
 
 
+class TestCountErrors:
+    """Counts that would make a vacuous pass or a traceback stop with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["census", "--instances", "-2"], "instances must be at least 1"),
+            (["census", "--dimension", "1", "--instances", "1"], "dimension must be >= 2"),
+            (["check-gradient", "--directions", "0"], "directions must be at least 1"),
+            (["fixtures", "--dimension", "1"], "dimension must be >= 2"),
+        ],
+        ids=[
+            "census-negative-instances",
+            "census-dimension-1",
+            "check-gradient-zero-directions",
+            "fixtures-dimension-1",
+        ],
+    )
+    def test_refused(self, argv, message, square_spec, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        if argv[0] == "check-gradient":
+            argv = argv + ["--spec", str(square_spec)]
+        if argv[0] != "fixtures":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestCensus:
     def test_small_census(self, tmp_path, capsys):
         out = tmp_path / "census.csv"
@@ -245,12 +274,13 @@ class TestCensus:
             assert row["euler_sum"] == "0"  # chi(RP^1)
         assert "min pairs" in capsys.readouterr().out
 
-    def test_zero_instances(self, tmp_path):
+    def test_zero_instances(self, tmp_path, capsys):
+        # solving nothing must not read as "all certified"
         out = tmp_path / "empty.csv"
-        code = main(["census", "--instances", "0", "--out", str(out)])
-        assert code == 0
-        rows = list(csv.DictReader(out.open()))
-        assert rows == []
+        assert main(["census", "--instances", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: instances must be at least 1\n"
+        assert not out.exists()
 
     def test_census_determinism(self, tmp_path):
         args = [

@@ -4,14 +4,12 @@ import pytest
 from capsec.bodies import Ball, Ellipsoid, LpBall, VPolytope, cube, sphere_net
 from capsec.functional import (
     DegenerateSectionError,
-    OffsetFunctional,
     RejectedInstanceError,
     default_margin,
     evaluate,
     fd_tangential_gradient,
     validate_instance,
 )
-from capsec.sections import Hyperplane, section
 
 
 def unit(v):
@@ -155,56 +153,6 @@ class TestGradientAgreement:
 
         with pytest.raises(BodyError):
             fd_tangential_gradient(cube(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), step=1e-2)
-
-
-class TestOffsetFunctional:
-    def test_constant_offset_reproduces_fixed_distance(self):
-        K = cube(1.0, 3)
-        t = 0.4
-        of = OffsetFunctional(K, lambda z: t, lambda z: np.zeros(3))
-        z = unit([1.0, 2.0, -1.0])
-        from capsec.sections import cap_volume
-
-        assert of.value(z) == pytest.approx(cap_volume(K, Hyperplane(z, t)))
-        sec = section(K, Hyperplane(z, t))
-        proj = sec.moment - (sec.moment @ z) * z
-        assert of.tangential_gradient(z) == pytest.approx(proj)
-
-    def test_support_offset_matches_evaluate(self):
-        K, L = cube(1.0, 3), Ellipsoid.from_semiaxes([0.8, 0.5, 0.3])
-        of = OffsetFunctional(K, L.support, L.touch_point)
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            z = unit(rng.normal(size=3))
-            ev = evaluate(K, L, z)
-            assert of.value(z) == pytest.approx(ev.f_value, rel=1e-12)
-            assert of.tangential_gradient(z) == pytest.approx(
-                ev.tangential_gradient, rel=1e-9, abs=1e-13
-            )
-
-    def test_gradient_matches_finite_difference(self):
-        K = Ball(1.5, 3)
-        # offset h(z) = 0.5 + 0.1 z1^2 on the sphere; ambient gradient of the
-        # 1-homogeneous extension |z| h(z/|z|) at unit z is h(z) z + grad_S h
-        of = OffsetFunctional(
-            K,
-            lambda z: 0.5 + 0.1 * z[0] ** 2 / (z @ z),
-            lambda z: (0.5 + 0.1 * z[0] ** 2) * np.asarray(z)
-            + np.array([0.2 * z[0], 0.0, 0.0])
-            - 0.2 * z[0] ** 2 * np.asarray(z),
-        )
-        rng = np.random.default_rng(18)
-        from capsec.sections import hyperplane_chart
-
-        h = 1e-5
-        for _ in range(5):
-            z = unit(rng.normal(size=3))
-            g = of.tangential_gradient(z)
-            Q = hyperplane_chart(z)
-            for j in range(2):
-                w = Q[:, j]
-                fd = (of.value(unit(z + h * w)) - of.value(unit(z - h * w))) / (2 * h)
-                assert fd == pytest.approx(g @ w, rel=1e-4, abs=1e-7)
 
 
 class TestMargins:

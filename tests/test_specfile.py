@@ -21,7 +21,6 @@ class TestParsing:
     def test_basic(self):
         spec = parse_instance_spec(BASIC)
         assert spec.dimension == 2
-        assert spec.seed == 7
         assert isinstance(spec.L, Ball)
         assert spec.L.radius == 0.5
         assert spec.solver.starts == 64
