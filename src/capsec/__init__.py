@@ -35,7 +35,7 @@ from .sections import (
     mc_section,
     section,
 )
-from .solver import CriticalPair, SolverConfig, TheoremReport, certify, grid_census, solve
+from .solver import CriticalPair, SolverConfig, TheoremReport, grid_census, solve
 from .specfile import InstanceSpec, SpecError, load_instance_spec, parse_instance_spec
 
 __version__ = "0.1.0"

@@ -468,12 +468,13 @@ def sphere_net(dim, size=None):
 
 
 def contains_body(outer, inner, margin=0.0):
-    """Conservative test for ``inner + margin <= outer`` in support-function terms.
+    """Test ``inner + margin <= outer`` in support-function terms.
 
-    Exact when the outer body is a polytope (one support test per facet);
-    otherwise checks a deterministic direction net plus both bodies' extreme
-    directions, so near-touching pairs may be rejected but a violation found
-    on the net is never accepted.
+    Exact when the outer body is a polytope (one support test per facet).
+    Otherwise it compares support functions on a deterministic direction net
+    plus both bodies' extreme directions: False always names a real
+    violation, but a violation that falls between those directions is
+    accepted.
     """
     if outer.dim != inner.dim:
         raise BodyError("dimension mismatch")

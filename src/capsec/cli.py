@@ -1,7 +1,7 @@
 """Command-line front end: gradient checks, solves, censuses and fixtures.
 
-Exit codes: 0 success / certified, 2 check failed or uncertified, 1 usage or
-spec parse errors.
+Exit codes: 0 success / certified, 2 check failed or uncertified, 1 usage
+errors (argparse's included), spec parse errors and unwritable outputs.
 """
 
 from __future__ import annotations
@@ -39,10 +39,14 @@ def _fail(message, code=1):
     return code
 
 
+def _open_out(path):
+    """The file at ``path`` opened for writing, or stdout for '-'."""
+    return sys.stdout if path == "-" else open(path, "w", newline="")
+
+
 @contextmanager
-def _csv_rows(path, fieldnames):
-    """A DictWriter, header written, on the file at ``path`` or on stdout for '-'."""
-    out = open(path, "w", newline="") if path != "-" else sys.stdout
+def _csv_rows(out, fieldnames):
+    """A DictWriter on ``out``, header written; closes ``out`` unless it is stdout."""
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
@@ -53,14 +57,8 @@ def _csv_rows(path, fieldnames):
 
 
 def _solver_overrides(args):
-    overrides = {}
-    if getattr(args, "starts", None) is not None:
-        overrides["solver.starts"] = args.starts
-    if getattr(args, "residual_tol", None) is not None:
-        overrides["solver.residual_tol"] = args.residual_tol
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return overrides
+    overrides = {"solver.starts": args.starts, "seed": args.seed}
+    return {k: v for k, v in overrides.items() if v is not None}
 
 
 def cmd_check_gradient(args):
@@ -69,29 +67,28 @@ def cmd_check_gradient(args):
     try:
         spec = load_instance_spec(args.spec)
         validate_instance(spec.K, spec.L)
-    except (SpecError, RejectedInstanceError) as exc:
+        out = _open_out(args.out)  # before any work, so an unwritable path costs nothing
+    except (SpecError, RejectedInstanceError, OSError) as exc:
         return _fail(str(exc))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.solver.seed)))
-    rows = []
     worst = 0.0
-    for i in range(args.directions):
-        z = rng.normal(size=spec.dimension)
-        z /= np.linalg.norm(z)
-        analytic = evaluate(spec.K, spec.L, z).tangential_gradient
-        fd = fd_tangential_gradient(spec.K, spec.L, z, step=args.step)
-        err = float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
-        worst = max(worst, err)
-        rows.append(
-            {
-                "index": i,
-                "direction": " ".join(f"{x:.12g}" for x in z),
-                "analytic_grad": " ".join(f"{x:.12g}" for x in analytic),
-                "fd_grad": " ".join(f"{x:.12g}" for x in fd),
-                "rel_error": f"{err:.6g}",
-            }
-        )
-    with _csv_rows(args.out, list(rows[0])) as writer:
-        writer.writerows(rows)
+    with _csv_rows(out, ["index", "direction", "analytic_grad", "fd_grad", "rel_error"]) as writer:
+        for i in range(args.directions):
+            z = rng.normal(size=spec.dimension)
+            z /= np.linalg.norm(z)
+            analytic = evaluate(spec.K, spec.L, z).tangential_gradient
+            fd = fd_tangential_gradient(spec.K, spec.L, z)
+            err = float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
+            worst = max(worst, err)
+            writer.writerow(
+                {
+                    "index": i,
+                    "direction": " ".join(f"{x:.12g}" for x in z),
+                    "analytic_grad": " ".join(f"{x:.12g}" for x in analytic),
+                    "fd_grad": " ".join(f"{x:.12g}" for x in fd),
+                    "rel_error": f"{err:.6g}",
+                }
+            )
     print(f"checked {args.directions} directions, max relative error {worst:.3g}")
     return 0 if worst <= args.threshold else 2
 
@@ -100,7 +97,7 @@ def cmd_solve(args):
     try:
         spec = load_instance_spec(args.spec, _solver_overrides(args))
         report = solve(spec.K, spec.L, spec.solver)  # solve validates the instance
-    except (SpecError, RejectedInstanceError) as exc:
+    except (SpecError, RejectedInstanceError, OSError) as exc:
         return _fail(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -126,11 +123,11 @@ def cmd_census(args):
         return _fail("dimension must be >= 2")
     if args.instances < 1:
         return _fail("instances must be at least 1")
-    options = {"starts": args.starts, "residual_tol": args.residual_tol}
+    config = SolverConfig(starts=args.starts)
     try:
-        config = SolverConfig(**{k: v for k, v in options.items() if v is not None})
         config.resolved_starts(args.dimension)
-    except BodyError as exc:
+        out = _open_out(args.out)  # before any solve, so an unwritable path costs nothing
+    except (BodyError, OSError) as exc:
         return _fail(str(exc))
     fieldnames = [
         "index",
@@ -147,7 +144,7 @@ def cmd_census(args):
     seeds = np.random.SeedSequence(args.seed).generate_state(args.instances)
     all_certified = True
     pair_counts = []
-    with _csv_rows(args.out, fieldnames) as writer:
+    with _csv_rows(out, fieldnames) as writer:
         for i in range(args.instances):
             t0 = time.perf_counter()
             K, L = random_instance(args.family, args.dimension, int(seeds[i]))
@@ -227,8 +224,16 @@ def cmd_fixtures(args):
     return 0 if not violations else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, since exit code 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capsec",
         description="Critical supporting hyperplanes whose section centroid touches the inner body.",
     )
@@ -237,7 +242,6 @@ def build_parser():
     p = sub.add_parser("check-gradient", help="compare analytic and finite-difference gradients")
     p.add_argument("--spec", required=True, help="instance spec file")
     p.add_argument("--directions", type=int, default=20)
-    p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
     p.set_defaults(func=cmd_check_gradient)
@@ -247,7 +251,6 @@ def build_parser():
     p.add_argument("--out-dir", default=".")
     p.add_argument("--no-svg", action="store_true")
     p.add_argument("--starts", type=int)
-    p.add_argument("--residual-tol", type=float, dest="residual_tol")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_solve)
 
@@ -257,7 +260,6 @@ def build_parser():
     p.add_argument("--dimension", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int)
-    p.add_argument("--residual-tol", type=float, dest="residual_tol")
     p.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
     p.set_defaults(func=cmd_census)
 

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+FD_GRADIENT_STEP = 1e-5  # central-difference step (rad) of fd_tangential_gradient
+
+
 class RejectedInstanceError(ValueError):
     """The (K, L) pair violates the preconditions (containment margin, strict convexity)."""
 
@@ -116,13 +119,12 @@ def evaluate(K, L, z, margin=None):
     return FunctionalEval(z, f, touch, sec, grad, residual)
 
 
-def fd_tangential_gradient(K, L, z, step=1e-5):
+def fd_tangential_gradient(K, L, z):
     """Central-difference tangential gradient with great-circle retraction.
 
-    Independent of the analytic formula: only cap volumes are evaluated.
+    The step is ``FD_GRADIENT_STEP``.  Independent of the analytic formula:
+    only cap volumes are evaluated.
     """
-    if not (1e-7 <= step <= 1e-3):
-        raise BodyError("finite-difference step must lie in [1e-7, 1e-3]")
     z = _unit(z)
     Q = hyperplane_chart(z)
     grad = np.zeros(K.dim)
@@ -136,7 +138,7 @@ def fd_tangential_gradient(K, L, z, step=1e-5):
 
     for j in range(Q.shape[1]):
         w = Q[:, j]
-        coeff = (f(z + step * w) - f(z - step * w)) / (2.0 * step)
+        coeff = (f(z + FD_GRADIENT_STEP * w) - f(z - FD_GRADIENT_STEP * w)) / (2.0 * FD_GRADIENT_STEP)
         grad += coeff * w
     return grad
 

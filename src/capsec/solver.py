@@ -34,9 +34,9 @@ __all__ = [
     "TheoremReport",
     "solve",
     "grid_census",
-    "certify",
 ]
 
+RESIDUAL_TOL = 1e-7  # |P_{z_perp}(centroid - touch point)| at or below this makes a start converged
 DEDUP_ANGLE = 1e-3  # projective angle (rad) within which converged directions are one pair
 GRADIENT_MAX_ITERS = 500
 STEP_INIT = 0.1
@@ -50,12 +50,12 @@ CANONICAL_TOL = 1e-9  # coordinates at most this small do not fix a pair's sign
 @dataclass
 class SolverConfig:
     starts: int | None = None  # default 64 * n, resolved at solve time
-    residual_tol: float = 1e-7
     seed: int = 0
 
-    def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise BodyError("residual_tol must be positive")
+    @property
+    def residual_tol(self):
+        # read-only; perfbench/workloads.py reads SolverConfig().residual_tol
+        return RESIDUAL_TOL
 
     def resolved_starts(self, dim):
         m = 64 * dim if self.starts is None else self.starts
@@ -96,7 +96,8 @@ class TheoremReport:
 
     @property
     def certified(self):
-        return certify(self, self.dimension)
+        """At least ``dimension`` distinct pairs; ``degenerate_continuum`` only describes them."""
+        return len(self.pairs) >= self.dimension
 
     @property
     def degenerate_continuum(self):
@@ -227,7 +228,7 @@ def _residual_jacobian(K, L, z):
     return Q, J
 
 
-def _polish(K, L, z, tol, stats):
+def _polish(K, L, z, stats):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart."""
     try:
         r = _residual_vector(K, L, z)
@@ -236,7 +237,7 @@ def _polish(K, L, z, tol, stats):
         return z, np.inf
     rn = np.linalg.norm(r)
     for _ in range(POLISH_MAX_ITERS):
-        if rn <= 0.25 * tol:
+        if rn <= 0.25 * RESIDUAL_TOL:
             break
         try:
             Q, J = _residual_jacobian(K, L, z)
@@ -298,8 +299,8 @@ def solve(K, L, config=None):
             z = _gradient_stage(K, L, z, +1.0, stats)
         elif i % 3 == 1:
             z = _gradient_stage(K, L, z, -1.0, stats)
-        z, res = _polish(K, L, z, cfg.residual_tol, stats)
-        if res <= cfg.residual_tol:
+        z, res = _polish(K, L, z, stats)
+        if res <= RESIDUAL_TOL:
             candidates.append((_canonical(z), res))
 
     clusters = _dedup(candidates)
@@ -330,14 +331,6 @@ def solve(K, L, config=None):
     return TheoremReport(dimension=n, pairs=pairs, diagnostics=stats)
 
 
-def certify(report, dim):
-    """True iff the report holds at least ``dim`` distinct antipodal pairs.
-
-    The count alone decides; ``degenerate_continuum`` only describes the pairs.
-    """
-    return len(report.pairs) >= dim
-
-
 # --- exhaustive low-dimensional oracle --------------------------------------
 
 
@@ -351,11 +344,10 @@ def grid_census(K, L, resolution=10_000):
     ``DEDUP_ANGLE`` as in ``solve``, in direction order.
     """
     validate_instance(K, L)
-    residual_tol = SolverConfig().residual_tol
     if K.dim == 2:
-        results = _grid_census_2d(K, L, resolution, residual_tol)
+        results = _grid_census_2d(K, L, resolution)
     elif K.dim == 3:
-        results = _grid_census_3d(K, L, resolution, residual_tol)
+        results = _grid_census_3d(K, L, resolution)
     else:
         raise BodyError("grid_census supports n in {2, 3} only")
     return sorted(((z, res) for z, res, _ in _dedup(results)), key=lambda zr: tuple(zr[0]))
@@ -368,7 +360,7 @@ def _signed_gradient_2d(K, L, theta):
     return float(r @ w), float(np.linalg.norm(r - (r @ z) * z)), z
 
 
-def _grid_census_2d(K, L, resolution, residual_tol):
+def _grid_census_2d(K, L, resolution):
     thetas = np.arange(resolution) * (np.pi / resolution)
     svals = np.empty(resolution)
     for i, th in enumerate(thetas):
@@ -386,14 +378,14 @@ def _grid_census_2d(K, L, resolution, residual_tol):
         for _ in range(80):
             mid = 0.5 * (a + b)
             sm, res, z = _signed_gradient_2d(K, L, mid)
-            if res <= 0.25 * residual_tol or b - a < 1e-15:
+            if res <= 0.25 * RESIDUAL_TOL or b - a < 1e-15:
                 break
             if sa * sm <= 0.0:
                 b, sb = mid, sm
             else:
                 a, sa = mid, sm
         _, res, z = _signed_gradient_2d(K, L, 0.5 * (a + b))
-        if res <= residual_tol:
+        if res <= RESIDUAL_TOL:
             results.append((_canonical(z), res))
     return results
 
@@ -443,7 +435,7 @@ def _icosphere(subdivisions):
     return np.array(verts), sorted(edges)
 
 
-def _grid_census_3d(K, L, resolution, residual_tol):
+def _grid_census_3d(K, L, resolution):
     subdivisions = 1
     while 12 * 4**subdivisions < resolution and subdivisions < 6:
         subdivisions += 1
@@ -464,7 +456,7 @@ def _grid_census_3d(K, L, resolution, residual_tol):
     for i, z in enumerate(verts):
         if any(residuals[j] < residuals[i] for j in neighbors[i]):
             continue  # not a local minimum of the residual
-        zp, res = _polish(K, L, z, residual_tol, stats)
-        if res <= residual_tol:
+        zp, res = _polish(K, L, z, stats)
+        if res <= RESIDUAL_TOL:
             results.append((_canonical(zp), res))
     return results

@@ -8,8 +8,7 @@ Grammar (one ``key = value`` assignment per line, ``#`` comments)::
     K.halfwidth = 1.0
     L.kind = ball
     L.radius = 0.5
-    solver.starts = 128      # optional solver overrides
-    solver.residual_tol = 1e-7
+    solver.starts = 128      # optional; the one solver option
 
 Body parameters by kind:
 
@@ -104,7 +103,6 @@ def _build_body(prefix, fields, dim):
 
 _SOLVER_FIELDS = {
     "starts": int,
-    "residual_tol": float,
 }
 
 

@@ -6,13 +6,14 @@ capture) so a log of this module doubles as an acceptance report.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from capsec.bodies import Ball, Ellipsoid, VPolytope, cube
 from capsec.cli import main
-from capsec.families import random_instance
+from capsec.families import fit_inside, random_ellipsoid, random_instance
 from capsec.functional import evaluate, fd_tangential_gradient
 from capsec.sections import Hyperplane, cap_volume, mc_section, section
-from capsec.solver import SolverConfig, certify, grid_census, solve
+from capsec.solver import SolverConfig, grid_census, solve
 
 
 def unit(v):
@@ -22,6 +23,11 @@ def unit(v):
 
 def angle(a, b):
     return float(np.arccos(min(1.0, abs(float(np.dot(a, b))))))
+
+
+def sine_angle(a, b):
+    """|sin| of the angle between unit vectors, from their wedge product; exact near 0, unlike arccos."""
+    return float(np.linalg.norm(np.outer(a, b) - np.outer(b, a)) / np.sqrt(2.0))
 
 
 @pytest.fixture
@@ -71,7 +77,7 @@ def test_gradient_law(verdict):
         z = unit(rng.normal(size=dim))
         ev = evaluate(K, L, z)
         g = ev.tangential_gradient
-        fd = fd_tangential_gradient(K, L, z, step=1e-5)
+        fd = fd_tangential_gradient(K, L, z)
         # fully symmetric draws have an exactly-zero gradient, where a pure
         # ratio is ill-posed; floor the scale at a tiny fraction of the
         # natural gradient magnitude (section measure times diameter)
@@ -111,7 +117,7 @@ def test_census_certifies(verdict, census_report, dim):
     failures = []
     for seed in range(20):
         K, L, report = census_report(dim, 100 + seed)
-        if not (certify(report, dim) and len(report.pairs) >= dim):
+        if not (report.certified and len(report.pairs) >= dim):
             failures.append(f"seed {100 + seed}: {len(report.pairs)} pairs")
             continue
         for p in report.pairs:
@@ -149,6 +155,48 @@ def test_polytope_in_ellipsoid_hull_certifies(verdict, dim):
     verdict(
         not failures,
         f"dimension {dim}: 3/3 instances certified with Euler sum {chi}"
+        if not failures
+        else f"dimension {dim}: {failures}",
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_ellipsoid_in_ellipsoid_closed_form(verdict, dim):
+    """Ellipsoid in ellipsoid, seeds 0-2: the pairs are the generalized eigenvectors.
+
+    A linear map taking K to the ball makes f a decreasing function of one
+    support function, so the critical lines solve P z = lambda R z with
+    P = K.inverse_shape and R = L.inverse_shape, and the pair of the j-th
+    smallest lambda has Morse index j.  Instances are drawn like the
+    benchmark's analytic census: K semiaxes 0.6-1.2, L semiaxes 0.5-1.0.
+    """
+    failures = []
+    worst = 0.0
+    for seed in range(3):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        K = random_ellipsoid(rng, dim, (0.6, 1.2))
+        L = fit_inside(K, random_ellipsoid(rng, dim, (0.5, 1.0)))
+        report = solve(K, L, SolverConfig(seed=seed))
+        if len(report.pairs) != dim:
+            failures.append(f"seed {seed}: {len(report.pairs)} pairs, expected {dim}")
+            continue
+        _, vecs = scipy.linalg.eigh(K.inverse_shape, L.inverse_shape)  # ascending eigenvalues
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        ranks = []
+        for p in report.pairs:
+            sines = [sine_angle(p.direction, v) for v in vecs.T]
+            rank = int(np.argmin(sines))
+            worst = max(worst, sines[rank])
+            ranks.append(rank)
+            if sines[rank] > 1e-6:
+                failures.append(f"seed {seed}: pair {p.direction} is {sines[rank]:.3g} rad off")
+            if p.morse_index != rank:
+                failures.append(f"seed {seed}: eigenvalue rank {rank}, Morse index {p.morse_index}")
+        if sorted(ranks) != list(range(dim)):
+            failures.append(f"seed {seed}: pairs match eigenvectors {sorted(ranks)}")
+    verdict(
+        not failures,
+        f"dimension {dim}: 3/3 instances match the eigenvectors to {worst:.3g} rad, indices by rank"
         if not failures
         else f"dimension {dim}: {failures}",
     )

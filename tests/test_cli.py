@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from capsec import cli
 from capsec.bodies import Ball, Ellipsoid, cube
 from capsec.cli import main
 from capsec.reporting import SCHEMA_VERSION, dump_report, load_schema, report_to_dict
@@ -193,12 +194,10 @@ class TestSolverOptionErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["census", "--residual-tol", "0"],
-            ["census", "--residual-tol", "-1"],
             ["census", "--dimension", "3", "--starts", "2"],
             ["solve", "--starts", "2"],
         ],
-        ids=["census-zero-tol", "census-negative-tol", "census-few-starts", "solve-few-starts"],
+        ids=["census-few-starts", "solve-few-starts"],
     )
     def test_refused(self, argv, tmp_path, capsys):
         spec = tmp_path / "cube.spec"
@@ -242,6 +241,58 @@ class TestCountErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestPathErrors:
+    """A path that cannot be opened stops before any work, with one error line."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the path was checked")
+
+        monkeypatch.setattr(cli, "solve", refuse)
+        monkeypatch.setattr(cli, "evaluate", refuse)
+
+    @pytest.mark.parametrize("command", ["census", "check-gradient"])
+    def test_out_in_missing_directory(self, command, square_spec, tmp_path, capsys, no_work):
+        out = tmp_path / "missing" / "out.csv"
+        argv = [command, "--out", str(out)]
+        argv += ["--spec", str(square_spec)] if command == "check-gradient" else ["--instances", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and str(out) in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check-gradient"])
+    def test_missing_spec(self, command, tmp_path, capsys, no_work):
+        spec = tmp_path / "missing.spec"
+        assert main([command, "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and str(spec) in err
+
+
+class TestUsageErrors:
+    """argparse errors exit 1 with argparse's message: exit 2 means a check failed."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["census", "--instances", "abc"], "argument --instances: invalid int value: 'abc'"),
+            (["solve", "--spec", "x.spec", "--residual-tol", "1e-7"], "unrecognized arguments: --residual-tol 1e-7"),
+            (["check-gradient", "--spec", "x.spec", "--step", "1e-5"], "unrecognized arguments: --step 1e-5"),
+        ],
+        ids=["census-bad-int", "solve-residual-tol", "check-gradient-step"],
+    )
+    def test_exit_code(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: capsec")
+        assert f"error: {message}\n" in err
 
 
 class TestCensus:

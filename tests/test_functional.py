@@ -144,15 +144,9 @@ class TestGradientAgreement:
             for _ in range(4):
                 z = unit(rng.normal(size=3))
                 g = evaluate(K, L, z).tangential_gradient
-                fd = fd_tangential_gradient(K, L, z, step=1e-5)
+                fd = fd_tangential_gradient(K, L, z)
                 scale = max(np.linalg.norm(g), np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(g - fd) / scale < 1e-4
-
-    def test_step_bounds(self):
-        from capsec.bodies import BodyError
-
-        with pytest.raises(BodyError):
-            fd_tangential_gradient(cube(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), step=1e-2)
 
 
 class TestMargins:

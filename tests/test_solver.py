@@ -10,7 +10,6 @@ from capsec.solver import (
     CriticalPair,
     SolverConfig,
     TheoremReport,
-    certify,
     grid_census,
     solve,
 )
@@ -25,9 +24,12 @@ class TestConfig:
         cfg = SolverConfig()
         assert cfg.resolved_starts(3) == 192
 
-    def test_invalid_tolerances(self):
-        with pytest.raises(BodyError):
-            SolverConfig(residual_tol=0.0)
+    def test_residual_tolerance_is_the_constant(self):
+        assert SolverConfig().residual_tol == 1e-7
+
+    def test_residual_tolerance_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SolverConfig(residual_tol=0.05)
 
     def test_too_few_starts(self):
         with pytest.raises(BodyError):
@@ -56,7 +58,6 @@ class TestEllipsoidInBall:
 
     def test_certified(self, report):
         assert report.certified
-        assert certify(report, 3)
 
     def test_kinds(self, report):
         # cap volume is smallest along the long axis and largest along the short one
@@ -134,7 +135,6 @@ class TestContinuum:
         m = len(report.pairs)
         assert report.continuum_justification.startswith(f"{m}/{m} pairs have a flat eigenvalue")
         assert all(p.kind == "unclassified" and p.morse_index is None for p in report.pairs)
-        assert certify(report, 3)
 
     def test_isolated_lp_minima_are_not_a_continuum(self):
         # four symmetric minima share one f value; each is a nondegenerate critical point
@@ -220,17 +220,17 @@ class TestCertify:
 
     def test_enough_pairs(self):
         report = self.make_report(3, 3)
-        assert certify(report, 3) and report.certified
+        assert report.certified
 
     def test_too_few_pairs(self):
         report = self.make_report(2, 3)
-        assert not certify(report, 3) and not report.certified
+        assert not report.certified
 
     def test_continuum_counts(self):
         # the continuum flag describes the pairs; only their count certifies
         report = self.make_report(2, 3)  # no Morse index: every pair unclassified
         assert report.degenerate_continuum
-        assert not certify(report, 3) and not report.certified
+        assert not report.certified
 
 
 class TestDerivedLabels:
