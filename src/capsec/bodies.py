@@ -62,9 +62,9 @@ def _first_line(exc):
     return str(exc).partition("\n")[0]
 
 
-def _require_nonzero(u, name="u"):
+def _require_nonzero(u):
     if not u.any():
-        raise BodyError(f"{name} must be nonzero")
+        raise BodyError("u must be nonzero")
 
 
 class ConvexBody:
@@ -131,7 +131,6 @@ class Ball(ConvexBody):
 
     def support(self, u):
         u = _as_vector(u, self.dim)
-        _require_nonzero(u)
         return self.radius * float(np.linalg.norm(u))
 
     def touch_point(self, u):
@@ -201,7 +200,6 @@ class Ellipsoid(ConvexBody):
 
     def support(self, u):
         u = _as_vector(u, self.dim)
-        _require_nonzero(u)
         return float(np.sqrt(u @ self.inverse_shape @ u))
 
     def touch_point(self, u):
@@ -259,7 +257,6 @@ class LpBall(ConvexBody):
 
     def support(self, u):
         u = _as_vector(u, self.dim)
-        _require_nonzero(u)
         # dual-norm formula: h(u) = s * ||u||_q
         return self.scale * float(np.linalg.norm(u, ord=self.q))
 
@@ -366,7 +363,6 @@ class VPolytope(ConvexBody):
 
     def support(self, u):
         u = _as_vector(u, self.dim)
-        _require_nonzero(u)
         return float(np.max(self.vertices @ u))
 
     def gauge(self, y):

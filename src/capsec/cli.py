@@ -94,20 +94,24 @@ def cmd_check_gradient(args):
 
 
 def cmd_solve(args):
+    out_dir = Path(args.out_dir)
+    # a file in the way is refused before the solve
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        return _fail(f"cannot use --out-dir {out_dir}: {existing} is not a directory")
     try:
         spec = load_instance_spec(args.spec, _solver_overrides(args))
         report = solve(spec.K, spec.L, spec.solver)  # solve validates the instance
+        out_dir.mkdir(parents=True, exist_ok=True)  # only now: a refused instance leaves none
+        json_path = out_dir / "report.json"
+        json_path.write_bytes(dump_report(spec.K, spec.L, report, spec.solver.seed))
+        print(f"wrote {json_path}")
+        if spec.dimension == 2 and not args.no_svg:
+            svg_path = out_dir / "solution.svg"
+            render_instance(spec.K, spec.L, report, svg_path)
+            print(f"wrote {svg_path}")
     except (SpecError, RejectedInstanceError, OSError) as exc:
         return _fail(str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "report.json"
-    json_path.write_bytes(dump_report(spec.K, spec.L, report, spec.solver.seed))
-    print(f"wrote {json_path}")
-    if spec.dimension == 2 and not args.no_svg:
-        svg_path = out_dir / "solution.svg"
-        render_instance(spec.K, spec.L, report, svg_path)
-        print(f"wrote {svg_path}")
     status = "certified" if report.certified else "NOT certified"
     print(
         f"{len(report.pairs)} pairs found in dimension {spec.dimension}: {status}"

@@ -54,8 +54,8 @@ def measure_floor(K):
     return 1e-12 * K.volume() ** ((K.dim - 1) / K.dim)
 
 
-def validate_instance(K, L, margin=None):
-    """Raise RejectedInstanceError unless K slices exactly, L is strictly convex and L + margin <= K."""
+def validate_instance(K, L):
+    """Raise RejectedInstanceError unless K slices exactly, L is strictly convex and L + default_margin(K) <= K."""
     if K.dim != L.dim:
         raise RejectedInstanceError("K and L must have the same dimension")
     if isinstance(K, LpBall):
@@ -67,8 +67,7 @@ def validate_instance(K, L, margin=None):
         raise RejectedInstanceError(
             f"inner body must be strictly convex, got {type(L).__name__}"
         )
-    m = default_margin(K) if margin is None else margin
-    if not contains_body(K, L, m):
+    if not contains_body(K, L, default_margin(K)):
         raise RejectedInstanceError("containment margin violated: need L + margin <= K")
 
 
@@ -92,30 +91,34 @@ def _unit(z):
     return z / nrm
 
 
-def _touch_and_section(K, L, z, margin=None):
-    """Supporting offset, touching point and section for direction z; cheap core of evaluate."""
+def _supporting_plane(K, L, z):
+    """L's supporting hyperplane with unit normal z; refused if K's support gap there is below the margin."""
     t = L.support(z)
-    m = default_margin(K) if margin is None else margin
-    if K.support(z) - t < m:
+    gap, m = K.support(z) - t, default_margin(K)
+    if gap < m:
         raise RejectedInstanceError(
-            f"containment margin violated along direction {z}: "
-            f"support gap {K.support(z) - t:g} < {m:g}"
+            f"containment margin violated along direction {z}: support gap {gap:g} < {m:g}"
         )
-    sec = section(K, Hyperplane(z, t))
+    return Hyperplane(z, t)
+
+
+def _touch_and_section(K, L, z):
+    """Supporting plane, touching point and section for direction z; cheap core of evaluate."""
+    plane = _supporting_plane(K, L, z)
+    sec = section(K, plane)
     if sec.degenerate or sec.measure <= measure_floor(K):
         raise DegenerateSectionError(z, sec.measure)
-    return t, L.touch_point(z), sec
+    return plane, L.touch_point(z), sec
 
 
-def evaluate(K, L, z, margin=None):
-    """Evaluate the objective, section and tangential gradient at unit direction z."""
+def evaluate(K, L, z):
+    """Objective, section, tangential gradient and residual |centroid - touch point| at unit direction z."""
     z = _unit(z)
-    t, touch, sec = _touch_and_section(K, L, z, margin)
+    plane, touch, sec = _touch_and_section(K, L, z)
     diff = sec.centroid - touch
-    diff = diff - (diff @ z) * z
-    grad = sec.measure * diff
     residual = float(np.linalg.norm(diff))
-    f = cap_volume(K, Hyperplane(z, t))
+    grad = sec.measure * (diff - (diff @ z) * z)
+    f = cap_volume(K, plane)
     return FunctionalEval(z, f, touch, sec, grad, residual)
 
 
@@ -130,11 +133,7 @@ def fd_tangential_gradient(K, L, z):
     grad = np.zeros(K.dim)
 
     def f(direction):
-        d = direction / np.linalg.norm(direction)
-        t = L.support(d)
-        if K.support(d) - t < default_margin(K):
-            raise RejectedInstanceError("containment margin violated during differencing")
-        return cap_volume(K, Hyperplane(d, t))
+        return cap_volume(K, _supporting_plane(K, L, direction / np.linalg.norm(direction)))
 
     for j in range(Q.shape[1]):
         w = Q[:, j]

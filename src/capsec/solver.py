@@ -36,7 +36,7 @@ __all__ = [
     "grid_census",
 ]
 
-RESIDUAL_TOL = 1e-7  # |P_{z_perp}(centroid - touch point)| at or below this makes a start converged
+RESIDUAL_TOL = 1e-7  # |centroid - touch point| at or below this makes a start converged
 DEDUP_ANGLE = 1e-3  # projective angle (rad) within which converged directions are one pair
 GRADIENT_MAX_ITERS = 500
 STEP_INIT = 0.1
@@ -161,7 +161,7 @@ def _start_directions(dim, count, seed):
 
 
 def _residual_vector(K, L, z):
-    t, touch, sec = _touch_and_section(K, L, z)
+    _, touch, sec = _touch_and_section(K, L, z)
     return sec.centroid - touch
 
 
@@ -357,7 +357,7 @@ def _signed_gradient_2d(K, L, theta):
     z = np.array([np.cos(theta), np.sin(theta)])
     w = np.array([-z[1], z[0]])
     r = _residual_vector(K, L, z)
-    return float(r @ w), float(np.linalg.norm(r - (r @ z) * z)), z
+    return float(r @ w), float(np.linalg.norm(r)), z
 
 
 def _grid_census_2d(K, L, resolution):
@@ -443,8 +443,7 @@ def _grid_census_3d(K, L, resolution):
     residuals = np.empty(len(verts))
     for i, z in enumerate(verts):
         try:
-            r = _residual_vector(K, L, z)
-            residuals[i] = np.linalg.norm(r - (r @ z) * z)
+            residuals[i] = np.linalg.norm(_residual_vector(K, L, z))
         except DegenerateSectionError:
             residuals[i] = np.inf
     neighbors = [[] for _ in verts]

@@ -2,8 +2,10 @@
 
 from functools import cache
 
+import numpy as np
 import pytest
 
+from capsec.bodies import Ellipsoid, cube
 from capsec.families import random_instance
 from capsec.solver import SolverConfig, solve
 
@@ -23,3 +25,20 @@ def census_report():
     mutate it.
     """
     return _census_report
+
+
+# orthonormal, with first column the cube diagonal (1, 1, 1, 1) / 2
+_HADAMARD_4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+@pytest.fixture(scope="session")
+def needle_in_cube():
+    """``(K, L, d)``: a needle ellipsoid L along the diagonal d of the 4-cube K.
+
+    L's long semiaxis, 2 - 1e-5, reaches almost to K's vertex and its other
+    semiaxes are 1.414e-3, so every facet gap is 4.3e-6 and the instance
+    validates.  Near d the section shrinks to a sliver: at d its measure is
+    2.7e-15, below the degenerate-section floor of 8e-12.
+    """
+    L = Ellipsoid.from_semiaxes([2 - 1e-5, 1.414e-3, 1.414e-3, 1.414e-3], rotation=_HADAMARD_4)
+    return cube(1.0, 4), L, _HADAMARD_4[:, 0]

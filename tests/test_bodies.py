@@ -44,10 +44,14 @@ class TestSupport:
         u = np.array([1.0, 2.0])
         assert b.support(u) == pytest.approx(2.0 * np.linalg.norm(u, ord=1.5))
 
-    def test_zero_vector_rejected(self):
-        for body in (Ball(1.0, 2), square(), cube(1.0, 2), LpBall(3.0, 1.0, 2)):
+    def test_zero_vector(self):
+        # h_K(0) = 0 for every body, but the touch point of 0 is undefined
+        ellipsoid = Ellipsoid.from_semiaxes([1.0, 0.5])
+        for body in (Ball(1.0, 2), ellipsoid, LpBall(3.0, 1.0, 2), square(), cube(1.0, 2)):
+            assert body.support(np.zeros(2)) == 0.0
+        for body in (Ball(1.0, 2), ellipsoid, LpBall(3.0, 1.0, 2)):
             with pytest.raises(BodyError):
-                body.support(np.zeros(2))
+                body.touch_point(np.zeros(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(BodyError):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from capsec import cli
-from capsec.bodies import Ball, Ellipsoid, cube
+from capsec.bodies import Ball, Ellipsoid
 from capsec.cli import main
-from capsec.reporting import SCHEMA_VERSION, dump_report, load_schema, report_to_dict
+from capsec.reporting import SCHEMA_VERSION, load_schema, report_to_dict
 from capsec.solver import SolverConfig, solve
 
 SQUARE_DISK = """
@@ -264,6 +264,26 @@ class TestPathErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file or directory" in err and str(out) in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["names-file", "below-file"])
+    def test_out_dir_is_a_file(self, below, square_spec, tmp_path, capsys, no_work):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out_dir = blocker / "out" if below else blocker
+        assert main(["solve", "--spec", str(square_spec), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{blocker} is not a directory" in err
+        assert blocker.read_text() == "keep"
+
+    def test_unwritable_report(self, square_spec, tmp_path, capsys):
+        # the solve runs; writing report.json, here a directory, fails
+        out_dir = tmp_path / "out"
+        (out_dir / "report.json").mkdir(parents=True)
+        assert main(["solve", "--spec", str(square_spec), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "report.json" in err
 
     @pytest.mark.parametrize("command", ["solve", "check-gradient"])
     def test_missing_spec(self, command, tmp_path, capsys, no_work):

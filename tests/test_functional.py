@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsec.bodies import Ball, Ellipsoid, LpBall, VPolytope, cube, sphere_net
+from capsec.bodies import Ball, Ellipsoid, LpBall, VPolytope, cube
 from capsec.functional import (
     DegenerateSectionError,
     RejectedInstanceError,
@@ -43,10 +43,10 @@ class TestValidation:
             validate_instance(Ball(1.0, 2), Ball(1.5, 2))
 
     def test_rejects_margin_violation(self):
-        # ball of radius 0.99 fits in the unit ball, but not with margin 0.1
-        validate_instance(Ball(1.0, 2), Ball(0.99, 2), margin=1e-3)
+        # the margin is default_margin(K) = 1e-6 for the unit disk
+        validate_instance(Ball(1.0, 2), Ball(1.0 - 1e-5, 2))
         with pytest.raises(RejectedInstanceError):
-            validate_instance(Ball(1.0, 2), Ball(0.99, 2), margin=0.1)
+            validate_instance(Ball(1.0, 2), Ball(1.0 - 1e-7, 2))
 
     def test_rejects_lpball_outer(self):
         with pytest.raises(RejectedInstanceError, match="mc_section"):
@@ -122,13 +122,13 @@ class TestEvaluate:
         assert b.f_value == pytest.approx(lam**3 * a.f_value, rel=1e-9)
         assert b.residual == pytest.approx(lam * a.residual, rel=1e-9)
 
-    def test_degenerate_section_error(self):
-        # inner body supported so close to the boundary of K that the section
-        # measure collapses: shrink the margin so evaluate reaches the slicer
-        K = Ball(1.0, 2)
-        L = Ball(1.0, 2)  # tangent cut: section is a single point
+    def test_degenerate_section_error(self, needle_in_cube):
+        # the instance validates, but the section at the needle's tip is a
+        # sliver below the measure floor
+        K, L, d = needle_in_cube
+        validate_instance(K, L)
         with pytest.raises(DegenerateSectionError):
-            evaluate(K, L, np.array([1.0, 0.0]), margin=0.0)
+            evaluate(K, L, d)
 
     def test_zero_direction_rejected(self):
         from capsec.bodies import BodyError

@@ -5,7 +5,7 @@ import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, VPolytope, cube
 from capsec.families import random_instance
-from capsec.functional import RejectedInstanceError
+from capsec.functional import DegenerateSectionError, RejectedInstanceError, evaluate
 from capsec.solver import (
     CriticalPair,
     SolverConfig,
@@ -144,6 +144,19 @@ class TestContinuum:
         assert report.continuum_justification is None
         assert len(report.pairs) == 4
         assert report.certified
+
+
+class TestDegenerateGeometry:
+    def test_needle_in_cube_solves(self, needle_in_cube):
+        # starts and polish steps near the needle's tip meet sections below
+        # the measure floor; the solver must reject them and still certify
+        K, L, _ = needle_in_cube
+        report = solve(K, L, SolverConfig(starts=32, seed=0))
+        assert report.diagnostics["degenerate_rejections"] > 0
+        assert report.certified
+        for p in report.pairs:
+            assert p.residual <= 1e-7
+            assert abs(L.gauge(p.centroid) - 1.0) <= 1e-5
 
 
 class TestSquareAndDisk:
@@ -291,6 +304,22 @@ class TestGridCensus:
         assert len(census) == 3
         found = sorted(int(np.argmax(np.abs(z))) for z, _ in census)
         assert found == [0, 1, 2]
+
+    def test_degenerate_mesh_vertex_3d(self):
+        # a needle ellipsoid at the apex of a stretched octahedron, along the
+        # icosphere vertex v: the section there is below the measure floor,
+        # so the oracle must skip that vertex and polish the others
+        phi = (1.0 + np.sqrt(5.0)) / 2.0
+        v = np.array([0.0, 1.0, phi]) / np.sqrt(1.0 + phi**2)
+        Q = np.column_stack([v, [1.0, 0.0, 0.0], np.cross(v, [1.0, 0.0, 0.0])])
+        K = VPolytope.symmetric_hull(np.array([6.0 * v, Q[:, 1], Q[:, 2]]))
+        A = Q @ np.diag(1.0 / np.array([6.0 - 6.3e-6, 2e-4, 2e-4]) ** 2) @ Q.T
+        L = Ellipsoid(0.5 * (A + A.T))  # from_semiaxes refuses this rotation's rounding as asymmetric
+        with pytest.raises(DegenerateSectionError):
+            evaluate(K, L, v)
+        census = grid_census(K, L, resolution=100)
+        assert census
+        assert all(res <= 1e-7 for _, res in census)
 
     def test_polytope_outer_2d(self):
         # regular hexagon outer body: 6 critical pairs (vertices + edge normals)
