@@ -57,6 +57,14 @@ def _as_vector(u, dim, name="u"):
     return u
 
 
+def _as_directions(u, dim):
+    """A vector (n,) or a stack of row vectors (m, n)."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != dim:
+        raise BodyError(f"u has shape {u.shape}, expected ({dim},) or (m, {dim})")
+    return u
+
+
 def _first_line(exc):
     """qhull errors run to many lines; the first names the failure."""
     return str(exc).partition("\n")[0]
@@ -71,7 +79,9 @@ class ConvexBody:
     """Common interface of all body kinds.
 
     Subclasses provide ``support``, ``gauge``, ``contains_points``, ``volume``
-    and, when strictly convex, ``touch_point``.
+    and, when strictly convex, ``touch_point`` and ``touch_point_jacobian``.
+    ``support`` takes one direction (n,) and returns a float, or a stack of
+    directions (m, n) and returns their m values.
     """
 
     dim: int
@@ -83,6 +93,12 @@ class ConvexBody:
     def touch_point(self, u):
         raise UnsupportedRepresentation(
             f"{type(self).__name__} is not strictly convex; touching point may be non-unique"
+        )
+
+    def touch_point_jacobian(self, u):
+        """Derivative of ``touch_point`` at u, the Hessian of the support function."""
+        raise UnsupportedRepresentation(
+            f"{type(self).__name__} is not strictly convex; its support function has no Hessian"
         )
 
     def gauge(self, y):
@@ -130,13 +146,22 @@ class Ball(ConvexBody):
         return f"Ball(radius={self.radius}, dim={self.dim})"
 
     def support(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
+        if u.ndim == 2:
+            return self.radius * np.linalg.norm(u, axis=1)
         return self.radius * float(np.linalg.norm(u))
 
     def touch_point(self, u):
         u = _as_vector(u, self.dim)
         _require_nonzero(u)
         return self.radius * u / np.linalg.norm(u)
+
+    def touch_point_jacobian(self, u):
+        u = _as_vector(u, self.dim)
+        _require_nonzero(u)
+        nrm = np.linalg.norm(u)
+        x = u / nrm
+        return self.radius * (np.eye(self.dim) - np.outer(x, x)) / nrm
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -166,7 +191,8 @@ class Ellipsoid(ConvexBody):
             raise BodyError("shape matrix must be square")
         if A.shape[0] < 2:
             raise BodyError("dimension must be >= 2")
-        if not np.allclose(A, A.T, atol=1e-12):
+        # rounding of R diag R^T scales with the largest entry, so the tolerance does too
+        if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
             raise BodyError("shape matrix must be symmetric")
         w, V = np.linalg.eigh(0.5 * (A + A.T))
         if w.min() <= 0:
@@ -199,7 +225,9 @@ class Ellipsoid(ConvexBody):
         return self._eigvecs @ np.diag(1.0 / self._eigvals) @ self._eigvecs.T
 
     def support(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
+        if u.ndim == 2:
+            return np.sqrt(np.einsum("ij,jk,ik->i", u, self.inverse_shape, u))
         return float(np.sqrt(u @ self.inverse_shape @ u))
 
     def touch_point(self, u):
@@ -207,6 +235,14 @@ class Ellipsoid(ConvexBody):
         _require_nonzero(u)
         w = self.inverse_shape @ u
         return w / np.sqrt(u @ w)
+
+    def touch_point_jacobian(self, u):
+        # h = sqrt(u^T P u) with P = A^{-1}; the touch point is P u / h
+        u = _as_vector(u, self.dim)
+        _require_nonzero(u)
+        w = self.inverse_shape @ u
+        h = np.sqrt(u @ w)
+        return (self.inverse_shape - np.outer(w, w) / (h * h)) / h
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -256,8 +292,10 @@ class LpBall(ConvexBody):
         return f"LpBall(p={self.p}, scale={self.scale}, dim={self.dim})"
 
     def support(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         # dual-norm formula: h(u) = s * ||u||_q
+        if u.ndim == 2:
+            return self.scale * np.linalg.norm(u, ord=self.q, axis=1)
         return self.scale * float(np.linalg.norm(u, ord=self.q))
 
     def touch_point(self, u):
@@ -266,6 +304,22 @@ class LpBall(ConvexBody):
         nq = np.linalg.norm(u, ord=self.q)
         y = np.sign(u) * np.abs(u / nq) ** (self.q - 1.0)
         return self.scale * y
+
+    def touch_point_jacobian(self, u):
+        """Hessian of h(u) = s ||u||_q: (q - 1) s / ||u||_q * (diag |u / ||u||_q|^(q-2) - y y^T).
+
+        Here y is the touch point over s.  For p > 2 (q < 2) the diagonal
+        term is unbounded at a zero coordinate, where the boundary of L has
+        zero curvature: that entry is +inf.
+        """
+        u = _as_vector(u, self.dim)
+        _require_nonzero(u)
+        nq = np.linalg.norm(u, ord=self.q)
+        a = np.abs(u / nq)
+        y = np.sign(u) * a ** (self.q - 1.0)
+        with np.errstate(divide="ignore"):
+            curvature = a ** (self.q - 2.0)
+        return (self.q - 1.0) * self.scale / nq * (np.diag(curvature) - np.outer(y, y))
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -362,7 +416,9 @@ class VPolytope(ConvexBody):
         return np.unique(pairs.reshape(-1, 2), axis=0)
 
     def support(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
+        if u.ndim == 2:
+            return np.max(u @ self.vertices.T, axis=1)
         return float(np.max(self.vertices @ u))
 
     def gauge(self, y):
@@ -467,25 +523,18 @@ def contains_body(outer, inner, margin=0.0):
     """Test ``inner + margin <= outer`` in support-function terms.
 
     Exact when the outer body is a polytope (one support test per facet).
-    Otherwise it compares support functions on a deterministic direction net
-    plus both bodies' extreme directions: False always names a real
-    violation, but a violation that falls between those directions is
-    accepted.
+    Otherwise it compares support functions, one array call per body, on a
+    deterministic direction net plus both bodies' extreme directions: False
+    always names a real violation, but a violation that falls between those
+    directions is accepted.
     """
     if outer.dim != inner.dim:
         raise BodyError("dimension mismatch")
     if margin < 0:
         raise BodyError("margin must be nonnegative")
     if isinstance(outer, VPolytope):
-        return all(
-            inner.support(nrm) <= off - margin
-            for nrm, off in zip(*outer.facet_equations)
-        )
-    dirs = np.vstack(
-        [
-            sphere_net(outer.dim),
-            outer.extreme_directions(),
-            inner.extreme_directions(),
-        ]
-    )
-    return all(inner.support(u) <= outer.support(u) - margin for u in dirs)
+        dirs, bounds = outer.facet_equations
+    else:
+        dirs = np.vstack([sphere_net(outer.dim), outer.extreme_directions(), inner.extreme_directions()])
+        bounds = outer.support(dirs)
+    return bool(np.all(inner.support(dirs) <= bounds - margin))

@@ -36,10 +36,14 @@ class RejectedInstanceError(ValueError):
 
 
 class DegenerateSectionError(RuntimeError):
-    """The supporting hyperplane produced a section with measure below the floor."""
+    """The supporting hyperplane produced a section with measure below the floor.
 
-    def __init__(self, direction, measure):
-        super().__init__(f"degenerate section at direction {direction} (measure {measure:g})")
+    The solver also raises it, with its own ``reason``, where the residual has
+    no finite Jacobian: L has zero curvature at the touch point.
+    """
+
+    def __init__(self, direction, measure, reason="degenerate section"):
+        super().__init__(f"{reason} at direction {direction} (measure {measure:g})")
         self.direction = np.asarray(direction, dtype=float)
         self.measure = measure
 
@@ -102,12 +106,17 @@ def _supporting_plane(K, L, z):
     return Hyperplane(z, t)
 
 
+def _require_measure(K, z, sec):
+    """Refuse a degenerate section, or one at or below ``measure_floor(K)``."""
+    if sec.degenerate or sec.measure <= measure_floor(K):
+        raise DegenerateSectionError(z, sec.measure)
+
+
 def _touch_and_section(K, L, z):
     """Supporting plane, touching point and section for direction z; cheap core of evaluate."""
     plane = _supporting_plane(K, L, z)
     sec = section(K, plane)
-    if sec.degenerate or sec.measure <= measure_floor(K):
-        raise DegenerateSectionError(z, sec.measure)
+    _require_measure(K, z, sec)
     return plane, L.touch_point(z), sec
 
 

@@ -7,7 +7,10 @@ of cones over the slices of the boundary simplices of the hull built when the
 polytope was constructed, so it builds no hull of its own.  A polytope cap
 volume still takes the hull of the kept vertices and the edge crossings, one
 per call.  An H-polytope is a V-polytope whose vertices were enumerated once
-at construction.  Balls and ellipsoids have closed forms.  Other bodies
+at construction.  Balls and ellipsoids have closed forms.
+``section_partials`` also returns the partial derivatives of the centroid in
+the plane's normal and offset: closed forms for balls and ellipsoids, and
+for polytopes the derivative of the same cone sums.  Other bodies
 (lp-balls) are refused: the Monte Carlo oracles ``mc_section`` and
 ``mc_cap_volume`` are called explicitly, for estimates and for
 cross-validation of the exact paths.
@@ -43,6 +46,7 @@ __all__ = [
     "SectionMethod",
     "cap_volume",
     "section",
+    "section_partials",
     "mc_cap_volume",
     "mc_section",
     "hyperplane_chart",
@@ -202,19 +206,21 @@ def _canonical_plane(x, t):
     return x, t, 1.0
 
 
-def _polytope_section(K, H):
-    """Section of a polytope as a sum of cones over the slices of its boundary simplices.
+def _polytope_cones(K, x, t):
+    """Measure, centroid and cones of the section of a polytope by ``<x, y> = t``, t >= 0.
 
     Ties count as above H, so every slice vertex is an edge fraction in
     [0, 1).  The cones share their apex, the mean of the slice vertices, which
     lies in K ∩ H: every cone volume is nonnegative and no sum cancels, however
-    small the section.
+    small the section.  Returns ``(measure, centroid, cones)``, with centroid
+    and cones None when the section is degenerate; ``cones`` holds the
+    edge-end offsets ``se`` and vertices ``ve`` under each slice vertex, the
+    spoke frames ``[x, pts - apex]`` and their signed determinants.
     """
-    x, t, sgn = _canonical_plane(H.direction, H.offset)
     V, simplices, n = K.vertices, K.boundary_simplices, K.dim
     d = V @ x
     if t >= d.max():
-        return SectionData(0.0, None, SectionMethod.EXACT)
+        return 0.0, None, None
     s = d[simplices] - t
     weights, valid, ends = _cone_table(n)
     code = (s < 0.0) @ weights
@@ -230,14 +236,73 @@ def _polytope_section(K, H):
     frame[:, 0] = x
     spokes = frame[:, 1:]
     np.subtract(pts, apex, out=spokes)
-    dets = np.abs(np.linalg.det(frame))
+    signed = np.linalg.det(frame)
+    dets = np.abs(signed)
     # cumsum adds left to right like a scalar loop (sum() is pairwise), keeping report bytes stable
     total = np.cumsum(dets)[-1]
     if total <= 0.0:
-        return SectionData(0.0, None, SectionMethod.EXACT)
+        return 0.0, None, None
     # a cone's centroid is apex + (sum of its spokes) / n
     first_moment = np.cumsum(dets[:, None] * spokes.sum(axis=1), axis=0)[-1]
-    return SectionData(total / factorial(n - 1), sgn * (apex + first_moment / (n * total)), SectionMethod.EXACT)
+    return total / factorial(n - 1), apex + first_moment / (n * total), (se, ve, frame, signed)
+
+
+def _polytope_section(K, H):
+    """Section of a polytope as a sum of cones over the slices of its boundary simplices."""
+    x, t, sgn = _canonical_plane(H.direction, H.offset)
+    measure, centroid, _ = _polytope_cones(K, x, t)
+    return SectionData(measure, None if centroid is None else sgn * centroid, SectionMethod.EXACT)
+
+
+@cache
+def _cofactor_table(n):
+    """Index arrays of the minors of an n x n frame that drop one spoke row r >= 1 and one column l.
+
+    ``frame[..., rows, cols]`` has shape (..., n-1, n, n-1, n-1), minor (r-1, l)
+    last; ``signs`` holds (-1)^(r+l).
+    """
+    rows = np.array([[[i for i in range(n) if i != r]] * n for r in range(1, n)])
+    cols = np.array([[[j for j in range(n) if j != l] for l in range(n)]] * (n - 1))
+    signs = (-1.0) ** np.add.outer(np.arange(1, n), np.arange(n))
+    for table in (rows, cols, signs):
+        table.setflags(write=False)
+    return rows[..., :, None], cols[..., None, :], signs
+
+
+def _polytope_centroid_partials(n, cones):
+    """(dc/dx, dc/dt) of a polytope section centroid at a canonical plane (x, t).
+
+    Every slice vertex v_i + λ (v_j - v_i) is rational in the edge-end offsets
+    s = V x - t through λ = s_i / (s_i - s_j), and the centroid depends on x
+    only through s: the frame row x scales every cone by the same factor.
+    Each cone volume |det F| is differentiated by Jacobi's formula,
+    d det F = tr(adj(F) dF), with the cofactors taken as minors so that
+    zero-volume cones stay finite.  A slice vertex on H gives the one-sided
+    derivative from above.
+    """
+    se, ve, frame, signed = cones
+    si, sj, vi, vj = se[:, 0], se[:, 1], ve[:, 0], ve[:, 1]
+    den = si - sj  # > 0: the P end is on or above H, the Q end below
+    # dλ = phi . (dx, dt), and each slice vertex moves by e dλ along its edge e = v_j - v_i
+    phi = np.empty((*si.shape, n + 1))
+    phi[..., :n] = (si[..., None] * vj - sj[..., None] * vi) / (den * den)[..., None]
+    phi[..., n] = -1.0 / den
+    e = vj - vi
+    dpts = np.einsum("cki,ckp->cip", e, phi)  # per cone, the summed moves of its slice vertices
+    dapex = dpts.sum(axis=0) / si.size
+    rows, cols, signs = _cofactor_table(n)
+    cof = signs * np.linalg.det(frame[:, rows, cols])  # (cones, n-1, n): cofactors of the spoke rows
+    # d det = sum over spoke rows k of cof_k . (e_k dλ_k - dapex)
+    ddet = np.einsum("ck,ckp->cp", np.einsum("cki,cki->ck", cof, e), phi) - cof.sum(axis=1) @ dapex
+    ddets = np.sign(signed)[:, None] * ddet
+    dets = np.abs(signed)
+    sums = frame[:, 1:].sum(axis=1)
+    total = dets.sum()
+    moment = dets @ sums
+    # moment = sum_c dets_c sums_c, and d sums_c = dpts_c - (n-1) dapex
+    dmoment = sums.T @ ddets + np.einsum("c,cip->ip", dets, dpts) - (n - 1) * total * dapex
+    dc = dapex + dmoment / (n * total) - np.outer(moment, ddets.sum(axis=0)) / (n * total * total)
+    return dc[:, :n], dc[:, n]
 
 
 def _clipped_polytope_volume(vertices, edges, x, t):
@@ -305,6 +370,37 @@ def section(K, H):
     if isinstance(K, VPolytope):
         return _polytope_section(K, H)
     raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
+
+
+def section_partials(K, H):
+    """Section of ``K ∩ H`` and the partial derivatives of its centroid.
+
+    With ``c(x, t)`` the centroid of ``K ∩ {y : <x, y> = t}`` on nonzero x,
+    returns ``(sec, dc_dx, dc_dt)``: the (n, n) derivative in the normal x
+    with t held and the (n,) derivative in the offset t, at H.  Closed forms
+    for balls and ellipsoids; for polytopes the derivative of the cone sums
+    (one-sided where a vertex lies on H).  A degenerate section gives
+    ``(sec, None, None)``.
+    """
+    _check_plane(K, H)
+    x, t = H.direction, H.offset
+    if isinstance(K, VPolytope):
+        xc, tc, sgn = _canonical_plane(x, t)
+        measure, centroid, cones = _polytope_cones(K, xc, tc)
+        if centroid is None:
+            return SectionData(0.0, None, SectionMethod.EXACT), None, None
+        dc_dx, dc_dt = _polytope_centroid_partials(K.dim, cones)
+        # c(x, t) = sgn c~(a x, a sgn t), where a = +-1 fixed the direction's sign
+        a = 1.0 if xc @ x > 0.0 else -1.0
+        return SectionData(measure, sgn * centroid, SectionMethod.EXACT), sgn * a * dc_dx, a * dc_dt
+    sec = section(K, H)
+    if sec.degenerate:
+        return sec, None, None
+    # the centroid is t P x / (x^T P x), with P = A^{-1} for an ellipsoid and P = I for a ball
+    P = K.inverse_shape if isinstance(K, Ellipsoid) else np.eye(K.dim)
+    w = P @ x
+    q = float(x @ w)
+    return sec, t * (P - 2.0 * np.outer(w, w) / q) / q, w / q
 
 
 def _ellipsoid_section(K, x, t):

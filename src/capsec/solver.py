@@ -3,7 +3,10 @@
 Runs projected-gradient descent/ascent with Armijo backtracking on the sphere,
 polishes candidates with a damped Gauss-Newton iteration on the
 centroid-minus-touch-point residual, deduplicates antipodal clusters, and
-certifies the distinct-pair count against the dimension lower bound.
+certifies the distinct-pair count against the dimension lower bound.  The
+residual's Jacobian, used by the polish and by the Morse classification, is
+exact: it is composed from the section's centroid partials and the Hessian of
+L's support function.
 
 A report stores only what the search measured; a pair's kind, the report's
 continuum flag and its Euler sum are read off the pairs' Morse indices.  The
@@ -20,13 +23,15 @@ from .bodies import BodyError, sphere_net
 from .functional import (
     DegenerateSectionError,
     RejectedInstanceError,
+    _require_measure,
+    _supporting_plane,
     _touch_and_section,
     evaluate,
     validate_instance,
 )
 from .reporting import _round
 from .sections import cap_volume  # unused; perfbench/selftest.py reads this name
-from .sections import hyperplane_chart
+from .sections import hyperplane_chart, section_partials
 
 __all__ = [
     "SolverConfig",
@@ -41,7 +46,6 @@ DEDUP_ANGLE = 1e-3  # projective angle (rad) within which converged directions a
 GRADIENT_MAX_ITERS = 500
 STEP_INIT = 0.1
 POLISH_TRIGGER = 1e-3  # residual below which the gradient stage hands over
-FD_STEP = 1e-6  # central-difference step of the residual Jacobian
 FLAT_EIGENVALUE = 1e-6  # eigenvalues of sym(Q^T J) below this times diam(K) count as zero
 POLISH_MAX_ITERS = 30
 CANONICAL_TOL = 1e-9  # coordinates at most this small do not fix a pair's sign
@@ -213,19 +217,22 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
 
 
 def _residual_jacobian(K, L, z):
-    """Tangent chart Q at z and the central-difference Jacobian J of centroid - touch point in it.
+    """Tangent chart Q at z and the Jacobian J of centroid - touch point in it.
 
-    At a critical direction the Hessian of f in the chart is ``measure * Q^T J``.
+    With t = h_L(z) and p = touch point, J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q,
+    from the section's centroid partials and L's touch-point derivative.  At a
+    critical direction the Hessian of f in the chart is ``measure * Q^T J``.
+    Refuses z as ``evaluate`` does, and also where h_L has no finite Hessian.
     """
+    plane = _supporting_plane(K, L, z)
+    sec, dc_dx, dc_dt = section_partials(K, plane)
+    _require_measure(K, z, sec)
+    hessian = L.touch_point_jacobian(z)
+    if not np.isfinite(hessian).all():
+        # an lp-ball with p > 2 at a zero coordinate: its boundary is flat there
+        raise DegenerateSectionError(z, sec.measure, "unbounded Hessian of h_L")
     Q = hyperplane_chart(z)
-    J = np.empty((K.dim, Q.shape[1]))
-    for j in range(Q.shape[1]):
-        zp = z + FD_STEP * Q[:, j]
-        zm = z - FD_STEP * Q[:, j]
-        rp = _residual_vector(K, L, zp / np.linalg.norm(zp))
-        rm = _residual_vector(K, L, zm / np.linalg.norm(zm))
-        J[:, j] = (rp - rm) / (2.0 * FD_STEP)
-    return Q, J
+    return Q, (dc_dx + np.outer(dc_dt, L.touch_point(z)) - hessian) @ Q
 
 
 def _polish(K, L, z, stats):

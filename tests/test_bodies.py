@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.special import gammaln
 
@@ -56,6 +59,24 @@ class TestSupport:
     def test_dimension_mismatch(self):
         with pytest.raises(BodyError):
             Ball(1.0, 3).support(np.array([1.0, 0.0]))
+        with pytest.raises(BodyError):
+            Ball(1.0, 3).support(np.ones((4, 2)))
+
+    def test_stacked_directions(self):
+        # an (m, n) stack gives m values, each the support of its row; one row gives a float
+        U = np.vstack([np.random.default_rng(5).normal(size=(40, 3)), np.zeros(3), np.eye(3)])
+        bodies = [
+            Ball(1.3, 3),
+            Ellipsoid.from_semiaxes([1.0, 0.7, 0.4]),
+            LpBall(3.0, 1.1, 3),
+            cube(0.8, 3),
+            VPolytope.symmetric_hull(sphere_net(3, 16)),
+        ]
+        for body in bodies:
+            values = body.support(U)
+            assert values.shape == (len(U),)
+            assert values == pytest.approx([body.support(u) for u in U], rel=1e-14, abs=0.0)
+            assert type(body.support(U[0])) is float
 
 
 class TestTouchPoint:
@@ -137,6 +158,20 @@ class TestContainsBody:
         assert contains_body(Ball(1.0, 2), hexagon, margin=0.05)
         assert not contains_body(Ball(1.0, 2), hexagon, margin=0.15)
         assert not contains_body(Ball(0.85, 2), hexagon)
+
+    def test_one_array_call_per_body(self, monkeypatch):
+        calls = []
+        original = Ellipsoid.support
+
+        def counting(self, u):
+            calls.append(np.shape(u))
+            return original(self, u)
+
+        monkeypatch.setattr(Ellipsoid, "support", counting)
+        K = Ellipsoid.from_semiaxes([2.0, 1.5, 1.0])
+        assert contains_body(K, Ellipsoid.from_semiaxes([1.0, 0.8, 0.5]), 0.1)
+        assert not contains_body(K, Ellipsoid.from_semiaxes([1.0, 0.8, 1.2]), 0.0)
+        assert [len(shape) for shape in calls] == [2, 2, 2, 2]
 
     def test_margin_validation(self):
         with pytest.raises(BodyError):
@@ -264,6 +299,63 @@ class TestTouchConsistency:
                 assert fd == pytest.approx(y[j], abs=1e-5)
 
 
+def fd_touch_jacobian(body, u, rel_step):
+    """Central differences of the touch point, column j with step rel_step * |u_j|.
+
+    Returns the differences and each column's rounding floor: a few ulp of
+    the touch point, divided by the step.
+    """
+    cols, floors = [], []
+    scale = np.abs(body.touch_point(u)).max()
+    for j, uj in enumerate(u):
+        e = np.zeros(len(u))
+        e[j] = rel_step * abs(uj)
+        cols.append((body.touch_point(u + e) - body.touch_point(u - e)) / (2.0 * e[j]))
+        floors.append(4.0 * np.finfo(float).eps * scale / (2.0 * e[j]))
+    return np.column_stack(cols), np.array(floors)
+
+
+@pytest.mark.parametrize("body", STRICT_BODIES, ids=lambda b: type(b).__name__)
+def test_touch_jacobian_matches_differences(body):
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        u = rng.normal(size=body.dim)
+        J = body.touch_point_jacobian(u)
+        fd, floors = fd_touch_jacobian(body, u, 1e-5)
+        assert np.all(np.abs(fd - J) <= 1e-7 * np.abs(J).max() + floors)
+        assert J == pytest.approx(J.T, rel=1e-12, abs=1e-15)  # a Hessian
+
+
+class TestLpTouchJacobianNearAxes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1.5, 3.0]),
+        st.lists(st.tuples(st.floats(-6.0, 0.0), st.booleans()), min_size=2, max_size=5),
+    )
+    def test_matches_differences(self, p, coords):
+        # coordinates from 1e-6 to 1: for p > 2 the Hessian grows like |u_j|^(q-2) near an axis
+        u = np.array([(-1.0 if neg else 1.0) * 10.0**e for e, neg in coords])
+        L = LpBall(p, 1.3, len(u))
+        J = L.touch_point_jacobian(u)
+        assert np.isfinite(J).all()
+        fd, floors = fd_touch_jacobian(L, u, 1e-3)
+        assert np.all(np.abs(fd - J) <= 1e-6 * np.abs(J).max() + floors)
+
+    def test_unbounded_at_a_zero_coordinate(self):
+        u = np.array([0.6, 0.0, -0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = LpBall(3.0, 1.0, 3).touch_point_jacobian(u)
+            smooth = LpBall(1.5, 1.0, 3).touch_point_jacobian(u)
+        assert flat[1, 1] == np.inf
+        assert np.isfinite(np.delete(flat.ravel(), 4)).all()
+        assert np.isfinite(smooth).all() and smooth[1, 1] == 0.0
+
+    def test_polytopes_have_none(self):
+        with pytest.raises(UnsupportedRepresentation):
+            cube(1.0, 2).touch_point_jacobian(np.array([1.0, 0.0]))
+
+
 class TestConstruction:
     def test_asymmetric_vertices_rejected(self):
         with pytest.raises(BodyError):
@@ -282,6 +374,17 @@ class TestConstruction:
         # a slab: symmetric, unit normals, positive offsets, but not bounded
         with pytest.raises(BodyError, match="unbounded"):
             HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
+
+    def test_symmetry_is_relative_to_the_scale(self):
+        # rounding of a rotated shape matrix scales with its largest entry
+        A = np.diag([1e6, 1.0, 1.0])
+        A[0, 1] = 7e-12
+        assert Ellipsoid(A).shape_matrix[0, 1] == 3.5e-12
+        A[0, 1] = 1e-5
+        with pytest.raises(BodyError, match="symmetric"):
+            Ellipsoid(A)
+        with pytest.raises(BodyError, match="symmetric"):
+            Ellipsoid([[1.0, 1e-11], [0.0, 1.0]])
 
     def test_indefinite_shape_matrix_rejected(self):
         with pytest.raises(BodyError):

@@ -30,6 +30,7 @@ from capsec.sections import (
     mc_cap_volume,
     mc_section,
     section,
+    section_partials,
 )
 
 
@@ -434,10 +435,47 @@ def tie_polytope(kind, dim, seed):
 tie_polytopes = st.builds(tie_polytope, st.sampled_from(["cube", "random"]), tie_dims, seeds)
 
 
+def fd_centroid_partials(K, H, step):
+    """Central differences of the section centroid along the chart of H's normal and in its offset."""
+    x, t = H.direction, H.offset
+    Q = hyperplane_chart(x)
+
+    def centroid(w, s):
+        return section(K, Hyperplane(unit(w), s)).centroid
+
+    dx = np.column_stack([(centroid(x + step * q, t) - centroid(x - step * q, t)) / (2.0 * step) for q in Q.T])
+    return Q, dx, (centroid(x, t + step) - centroid(x, t - step)) / (2.0 * step)
+
+
+TIE_OFFSET = 1e-8  # planes this far off a tie have a fixed slice pattern within the stencil
+
+
 class TestConeSlicingAtTies:
     """Cone sums against the qhull oracle where vertices, edges or facets meet H."""
 
+    def check_partials(self, K, H):
+        """Centroid partials: finite on H, and equal to a difference stencil on planes moved off it."""
+        sec, dc_dx, dc_dt = section_partials(K, H)
+        plain = section(K, H)
+        assert sec.measure == plain.measure and sec.degenerate is plain.degenerate
+        if sec.degenerate:
+            assert dc_dx is None and dc_dt is None
+            return
+        assert sec.centroid.tobytes() == plain.centroid.tobytes()
+        assert np.isfinite(dc_dx).all() and np.isfinite(dc_dt).all()
+        # the stencil moves no vertex across the moved plane: |V x| changes by at most step * max |v|
+        step = 0.2 * TIE_OFFSET / np.linalg.norm(K.vertices, axis=1).max()
+        for shift in (-TIE_OFFSET, TIE_OFFSET):
+            moved = Hyperplane(H.direction, H.offset + shift)
+            sec, dc_dx, dc_dt = section_partials(K, moved)
+            if sec.degenerate or abs(moved.offset) + TIE_OFFSET >= K.support(moved.direction):
+                continue
+            Q, fd_dx, fd_dt = fd_centroid_partials(K, moved, step)
+            analytic = np.column_stack([dc_dx @ Q, dc_dt])
+            assert np.abs(analytic - np.column_stack([fd_dx, fd_dt])).max() <= 1e-6 * np.abs(analytic).max()
+
     def check(self, K, H):
+        self.check_partials(K, H)
         sec = section(K, H)
         measure, centroid = qhull_section(K, H)
         assert sec.degenerate is (centroid is None)

@@ -1,15 +1,21 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from capsec.bodies import Ball, BodyError, Ellipsoid, VPolytope, cube
-from capsec.families import random_instance
-from capsec.functional import DegenerateSectionError, RejectedInstanceError, evaluate
+from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube
+from capsec.families import fit_inside, random_instance, random_rotation
+from capsec.functional import DegenerateSectionError, RejectedInstanceError, _touch_and_section, evaluate
+from capsec.sections import hyperplane_chart
 from capsec.solver import (
+    RESIDUAL_TOL,
     CriticalPair,
     SolverConfig,
     TheoremReport,
+    _classify,
+    _polish,
+    _residual_jacobian,
     grid_census,
     solve,
 )
@@ -142,7 +148,13 @@ class TestContinuum:
         report = solve(K, L, SolverConfig(starts=192, seed=2))
         assert not report.degenerate_continuum
         assert report.continuum_justification is None
-        assert len(report.pairs) == 4
+        minima = [p for p in report.pairs if p.kind == "min"]
+        assert len(minima) == 4
+        assert all(np.abs(p.direction) == pytest.approx(np.full(3, 3**-0.5), abs=1e-9) for p in minima)
+        # every pair lies on a line spanned by a vector in {0, +-1}^3, the closed-form critical set
+        for p in report.pairs:
+            support = np.abs(p.direction) > 1e-6
+            assert np.abs(p.direction[support]) == pytest.approx(np.full(support.sum(), support.sum() ** -0.5), abs=1e-6)
         assert report.certified
 
 
@@ -157,6 +169,90 @@ class TestDegenerateGeometry:
         for p in report.pairs:
             assert p.residual <= 1e-7
             assert abs(L.gauge(p.centroid) - 1.0) <= 1e-5
+
+
+def fd_residual_jacobian(K, L, z, step=1e-6):
+    """Central-difference Jacobian of centroid - touch point in the chart at z: 2(n-1) residuals."""
+    Q = hyperplane_chart(z)
+
+    def residual(w):
+        _, touch, sec = _touch_and_section(K, L, w / np.linalg.norm(w))
+        return sec.centroid - touch
+
+    return np.column_stack([(residual(z + step * q) - residual(z - step * q)) / (2.0 * step) for q in Q.T])
+
+
+def outer_body(kind, dim, rng):
+    if kind == "ball":
+        return Ball(1.4, dim)
+    if kind == "ellipsoid":
+        return Ellipsoid.from_semiaxes(rng.uniform(0.8, 1.6, size=dim), random_rotation(rng, dim))
+    if kind == "hpolytope":
+        return cube(1.0, dim)
+    pts = rng.normal(size=(3 * dim, dim))
+    return VPolytope.symmetric_hull(1.5 * pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def inner_body(kind, dim, rng):
+    if kind == "ball":
+        return Ball(1.0, dim)
+    if kind == "ellipsoid":
+        return Ellipsoid.from_semiaxes(rng.uniform(0.4, 1.0, size=dim), random_rotation(rng, dim))
+    return LpBall({"lp1.5": 1.5, "lp3": 3.0}[kind], 1.0, dim)
+
+
+OUTER_KINDS = ("ball", "ellipsoid", "vpolytope", "hpolytope")
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("outer", OUTER_KINDS)
+    def test_matches_the_difference_stencil(self, outer, dim):
+        rng = np.random.default_rng([dim, OUTER_KINDS.index(outer)])
+        K = outer_body(outer, dim, rng)
+        for inner in ("ball", "ellipsoid", "lp1.5", "lp3"):
+            L = fit_inside(K, inner_body(inner, dim, rng))
+            for _ in range(4):
+                z = rng.normal(size=dim)
+                z /= np.linalg.norm(z)
+                Q, J = _residual_jacobian(K, L, z)
+                assert Q.tobytes() == hyperplane_chart(z).tobytes()
+                oracle = fd_residual_jacobian(K, L, z)
+                if outer == inner == "ball":
+                    # concentric balls: every direction is critical and J vanishes; the
+                    # stencil's rounding is about eps / step
+                    assert np.abs(J).max() <= 1e-14 and np.abs(oracle).max() <= 1e-9
+                else:
+                    assert np.abs(J - oracle).max() <= 1e-6 * np.abs(J).max(), (inner, z)
+
+    def test_refuses_what_evaluate_refuses(self, needle_in_cube):
+        K, L, d = needle_in_cube
+        with pytest.raises(DegenerateSectionError):
+            evaluate(K, L, d)
+        with pytest.raises(DegenerateSectionError):
+            _residual_jacobian(K, L, d)
+
+    def test_flat_touch_point_stops_the_polish(self):
+        # an lp-ball with p > 2 is flat where a coordinate of z is 0: h_L has no finite Hessian
+        K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
+        z = np.array([1.0, 0.0, 2.0]) / np.sqrt(5.0)
+        stats = {"iterations": 0, "degenerate_rejections": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf or nan reaches lstsq
+            z_out, res = _polish(K, L, z, stats)
+        assert z_out is z
+        assert res > RESIDUAL_TOL
+        assert stats == {"iterations": 0, "degenerate_rejections": 1}
+
+    def test_flat_touch_point_is_unclassified(self):
+        K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
+        axis = np.eye(3)[0]  # critical by symmetry
+        assert evaluate(K, L, axis).residual <= RESIDUAL_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _classify(K, L, axis) is None
+        # the same axis of a p < 2 ball has a finite Hessian and an index
+        assert _classify(K, LpBall(1.5, 0.5, 3), axis) is not None
 
 
 class TestSquareAndDisk:
@@ -313,8 +409,7 @@ class TestGridCensus:
         v = np.array([0.0, 1.0, phi]) / np.sqrt(1.0 + phi**2)
         Q = np.column_stack([v, [1.0, 0.0, 0.0], np.cross(v, [1.0, 0.0, 0.0])])
         K = VPolytope.symmetric_hull(np.array([6.0 * v, Q[:, 1], Q[:, 2]]))
-        A = Q @ np.diag(1.0 / np.array([6.0 - 6.3e-6, 2e-4, 2e-4]) ** 2) @ Q.T
-        L = Ellipsoid(0.5 * (A + A.T))  # from_semiaxes refuses this rotation's rounding as asymmetric
+        L = Ellipsoid.from_semiaxes([6.0 - 6.3e-6, 2e-4, 2e-4], rotation=Q)
         with pytest.raises(DegenerateSectionError):
             evaluate(K, L, v)
         census = grid_census(K, L, resolution=100)
