@@ -86,6 +86,9 @@ class ConvexBody:
 
     dim: int
     strictly_convex: bool = False
+    # the boundary has points of zero curvature: ``touch_point_jacobian`` is unbounded
+    # at their normals, and ``normal`` and ``normal_jacobian`` chart the boundary instead
+    flat_points: bool = False
 
     def support(self, u):
         raise NotImplementedError
@@ -100,6 +103,14 @@ class ConvexBody:
         raise UnsupportedRepresentation(
             f"{type(self).__name__} is not strictly convex; its support function has no Hessian"
         )
+
+    def normal(self, y):
+        """Unit outer normal at the boundary point on the ray through y."""
+        raise UnsupportedRepresentation(f"{type(self).__name__} has no normal map")
+
+    def normal_jacobian(self, y):
+        """Derivative of ``normal`` at y."""
+        raise UnsupportedRepresentation(f"{type(self).__name__} has no normal map")
 
     def gauge(self, y):
         raise NotImplementedError
@@ -191,6 +202,8 @@ class Ellipsoid(ConvexBody):
             raise BodyError("shape matrix must be square")
         if A.shape[0] < 2:
             raise BodyError("dimension must be >= 2")
+        if not np.isfinite(A).all():
+            raise BodyError("shape matrix must be finite")
         # rounding of R diag R^T scales with the largest entry, so the tolerance does too
         if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
             raise BodyError("shape matrix must be symmetric")
@@ -209,7 +222,7 @@ class Ellipsoid(ConvexBody):
     def from_semiaxes(cls, semiaxes, rotation=None):
         """Ellipsoid with the given semiaxis lengths, optionally rotated."""
         a = np.asarray(semiaxes, dtype=float)
-        if np.any(a <= 0):
+        if not np.all(a > 0):
             raise BodyError("semiaxes must be positive")
         A = np.diag(1.0 / a**2)
         if rotation is not None:
@@ -287,6 +300,8 @@ class LpBall(ConvexBody):
         self.q = self.p / (self.p - 1.0)
         self.scale = float(scale)
         self.dim = int(dim)
+        # for p > 2 the boundary is flat where a coordinate is 0
+        self.flat_points = self.p > 2.0
 
     def __repr__(self):
         return f"LpBall(p={self.p}, scale={self.scale}, dim={self.dim})"
@@ -320,6 +335,29 @@ class LpBall(ConvexBody):
         with np.errstate(divide="ignore"):
             curvature = a ** (self.q - 2.0)
         return (self.q - 1.0) * self.scale / nq * (np.diag(curvature) - np.outer(y, y))
+
+    def normal(self, y):
+        # the gradient of the gauge ||y||_p / s, normalized
+        y = _as_vector(y, self.dim, "y")
+        _require_nonzero(y)
+        w = np.sign(y) * np.abs(y / np.linalg.norm(y, ord=self.p)) ** (self.p - 1.0)
+        return w / np.linalg.norm(w)
+
+    def normal_jacobian(self, y):
+        """(p - 1) / (||y||_p |w|) * (I - z z^T) diag |y / ||y||_p|^(p-2).
+
+        Here w = sign(y) |y / ||y||_p|^(p-1) is the gradient of ||y||_p and
+        z = w / |w| the normal.  For p > 2 it is bounded, and zero along a
+        zero coordinate of y.
+        """
+        y = _as_vector(y, self.dim, "y")
+        _require_nonzero(y)
+        npy = np.linalg.norm(y, ord=self.p)
+        a = np.abs(y / npy)
+        w = np.sign(y) * a ** (self.p - 1.0)
+        nw = np.linalg.norm(w)
+        z = w / nw
+        return (self.p - 1.0) / (npy * nw) * ((np.eye(self.dim) - np.outer(z, z)) * a ** (self.p - 2.0))
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")

@@ -36,14 +36,10 @@ class RejectedInstanceError(ValueError):
 
 
 class DegenerateSectionError(RuntimeError):
-    """The supporting hyperplane produced a section with measure below the floor.
+    """The supporting hyperplane produced a section with measure below the floor."""
 
-    The solver also raises it, with its own ``reason``, where the residual has
-    no finite Jacobian: L has zero curvature at the touch point.
-    """
-
-    def __init__(self, direction, measure, reason="degenerate section"):
-        super().__init__(f"{reason} at direction {direction} (measure {measure:g})")
+    def __init__(self, direction, measure):
+        super().__init__(f"degenerate section at direction {direction} (measure {measure:g})")
         self.direction = np.asarray(direction, dtype=float)
         self.measure = measure
 

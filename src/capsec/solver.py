@@ -6,7 +6,8 @@ centroid-minus-touch-point residual, deduplicates antipodal clusters, and
 certifies the distinct-pair count against the dimension lower bound.  The
 residual's Jacobian, used by the polish and by the Morse classification, is
 exact: it is composed from the section's centroid partials and the Hessian of
-L's support function.
+L's support function, or, where L has flat points, the derivative of L's
+normal map.
 
 A report stores only what the search measured; a pair's kind, the report's
 continuum flag and its Euler sum are read off the pairs' Morse indices.  The
@@ -216,23 +217,43 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
     return z
 
 
-def _residual_jacobian(K, L, z):
-    """Tangent chart Q at z and the Jacobian J of centroid - touch point in it.
+def _centroid_derivative(K, L, z):
+    """Tangent chart Q at z, the touch point p, and dc/dx + dc/dt p^T at t = h_L(z).
 
-    With t = h_L(z) and p = touch point, J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q,
-    from the section's centroid partials and L's touch-point derivative.  At a
-    critical direction the Hessian of f in the chart is ``measure * Q^T J``.
-    Refuses z as ``evaluate`` does, and also where h_L has no finite Hessian.
+    The last is the derivative of the section centroid along L's supporting
+    planes, from the section's centroid partials.  Refuses z as ``evaluate`` does.
     """
     plane = _supporting_plane(K, L, z)
     sec, dc_dx, dc_dt = section_partials(K, plane)
     _require_measure(K, z, sec)
-    hessian = L.touch_point_jacobian(z)
-    if not np.isfinite(hessian).all():
-        # an lp-ball with p > 2 at a zero coordinate: its boundary is flat there
-        raise DegenerateSectionError(z, sec.measure, "unbounded Hessian of h_L")
-    Q = hyperplane_chart(z)
-    return Q, (dc_dx + np.outer(dc_dt, L.touch_point(z)) - hessian) @ Q
+    p = L.touch_point(z)
+    return hyperplane_chart(z), p, dc_dx + np.outer(dc_dt, p)
+
+
+def _residual_jacobian(K, L, z):
+    """Tangent chart Q at z and the Jacobian J of centroid - touch point in it.
+
+    J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q.  At a critical direction the Hessian
+    of f in the chart is ``measure * Q^T J``.  D^2 h_L is unbounded, and J with
+    it, at the normals of L's flat points (``L.flat_points``).
+    """
+    Q, _, dc = _centroid_derivative(K, L, z)
+    return Q, (dc - L.touch_point_jacobian(z)) @ Q
+
+
+def _newton_chart(K, L, z):
+    """Chart Q, the residual's Jacobian J in it, and the map from a chart step to the next z.
+
+    The step moves z on the sphere.  Where L has flat points it moves the
+    touch point y on L's boundary instead, with z = ``L.normal(y)``: there the
+    residual c(normal(y)) - y has the Jacobian (dc/dx + dc/dt y^T) N Q - Q,
+    N = ``L.normal_jacobian(y)``, bounded where D^2 h_L is not.
+    """
+    if not L.flat_points:
+        Q, J = _residual_jacobian(K, L, z)
+        return Q, J, lambda step: (z + step) / np.linalg.norm(z + step)
+    Q, y, dc = _centroid_derivative(K, L, z)
+    return Q, dc @ L.normal_jacobian(y) @ Q - Q, lambda step: L.normal(y + step)
 
 
 def _polish(K, L, z, stats):
@@ -247,7 +268,7 @@ def _polish(K, L, z, stats):
         if rn <= 0.25 * RESIDUAL_TOL:
             break
         try:
-            Q, J = _residual_jacobian(K, L, z)
+            Q, J, move = _newton_chart(K, L, z)
         except DegenerateSectionError:
             stats["degenerate_rejections"] += 1
             return z, rn
@@ -255,8 +276,7 @@ def _polish(K, L, z, stats):
         improved = False
         damping = 1.0
         for _ in range(12):
-            z_new = z + damping * (Q @ delta)
-            z_new /= np.linalg.norm(z_new)
+            z_new = move(damping * (Q @ delta))
             try:
                 r_new = _residual_vector(K, L, z_new)
             except DegenerateSectionError:
@@ -273,17 +293,43 @@ def _polish(K, L, z, stats):
     return z, rn
 
 
-def _classify(K, L, z):
-    """Morse index (negative eigenvalues of sym(Q^T J)); None if one is flat or a section degenerate."""
-    try:
+def _chart_hessian(K, L, z):
+    """sym(Q^T J), the chart Hessian of f over the measure, as (eigenvalues, extra negatives).
+
+    Where L has flat points, D^2 h_L is the inverse of T = Q^T N Q on the
+    chart, and T's eigendirections with t ||A|| <= 1/2 (A = sym(Q^T (dc/dx +
+    dc/dt p^T) Q)) make A - T^{-1} negative definite on their span E; t = 0
+    at a flat point, where D^2 h_L is infinite.  By Haynsworth's inertia
+    additivity the index is dim E plus that of the Schur complement on the
+    other directions, whose eigenvalues are returned: all of them bounded.
+    """
+    if not L.flat_points:
         Q, J = _residual_jacobian(K, L, z)
+        H = Q.T @ J
+        return np.linalg.eigvalsh(0.5 * (H + H.T)), 0
+    Q, y, dc = _centroid_derivative(K, L, z)
+    A = Q.T @ dc @ Q
+    T = Q.T @ L.normal_jacobian(y) @ Q
+    t, U = np.linalg.eigh(0.5 * (T + T.T))
+    A = U.T @ (0.5 * (A + A.T)) @ U
+    E = t * np.abs(np.linalg.eigvalsh(A)).max() <= 0.5
+    F = ~E
+    # (A_EE - diag(1/t_E))^{-1} = R (R A_EE R - I)^{-1} R with R = diag(sqrt(t_E)), finite at t = 0
+    R = np.diag(np.sqrt(np.clip(t[E], 0.0, None)))
+    inv_EE = R @ np.linalg.inv(R @ A[np.ix_(E, E)] @ R - np.eye(len(R))) @ R
+    S = A[np.ix_(F, F)] - np.diag(1.0 / t[F]) - A[np.ix_(F, E)] @ inv_EE @ A[np.ix_(E, F)]
+    return np.linalg.eigvalsh(0.5 * (S + S.T)), int(E.sum())
+
+
+def _classify(K, L, z):
+    """Morse index (negative eigenvalues of sym(Q^T J), see ``_chart_hessian``); None if one is flat or a section degenerate."""
+    try:
+        eig, negatives = _chart_hessian(K, L, z)
     except (DegenerateSectionError, RejectedInstanceError):
         return None
-    H = Q.T @ J
-    eig = np.linalg.eigvalsh(0.5 * (H + H.T))
     if np.any(np.abs(eig) <= FLAT_EIGENVALUE * K.diameter()):
         return None
-    return int(np.count_nonzero(eig < 0))
+    return negatives + int(np.count_nonzero(eig < 0))
 
 
 def solve(K, L, config=None):

@@ -356,6 +356,51 @@ class TestLpTouchJacobianNearAxes:
             cube(1.0, 2).touch_point_jacobian(np.array([1.0, 0.0]))
 
 
+class TestLpNormalMap:
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.7])
+    def test_inverts_the_touch_point(self, p):
+        L = LpBall(p, 1.3, 4)
+        assert L.flat_points == (p > 2.0)
+        for z in np.random.default_rng(7).normal(size=(20, 4)):
+            z /= np.linalg.norm(z)
+            assert L.normal(L.touch_point(z)) == pytest.approx(z, abs=1e-13)
+            assert L.normal(5.0 * L.touch_point(z)) == pytest.approx(z, abs=1e-13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([3.0, 5.7]),
+        st.lists(st.tuples(st.floats(-6.0, 0.0), st.booleans()), min_size=2, max_size=5),
+    )
+    def test_jacobian_matches_differences(self, p, coords):
+        # coordinates from 1e-6 to 1: for p > 2 the normal map stays smooth near an axis
+        y = np.array([(-1.0 if neg else 1.0) * 10.0**e for e, neg in coords])
+        L = LpBall(p, 1.3, len(y))
+        N = L.normal_jacobian(y)
+        assert np.isfinite(N).all()
+        cols = []
+        for j, yj in enumerate(y):
+            e = np.zeros(len(y))
+            e[j] = 1e-4 * abs(yj)
+            cols.append((L.normal(y + e) - L.normal(y - e)) / (2.0 * e[j]))
+        floors = 4.0 * np.finfo(float).eps / (2e-4 * np.abs(y))
+        assert np.all(np.abs(np.column_stack(cols) - N) <= 1e-6 * np.abs(N).max() + floors)
+
+    def test_bounded_at_a_flat_point(self):
+        y = np.array([0.6, 0.0, -0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            N = LpBall(3.0, 1.0, 3).normal_jacobian(y)
+        assert np.isfinite(N).all() and not N[:, 1].any()
+
+    def test_other_bodies_have_none(self):
+        for body in (Ball(1.0, 2), Ellipsoid.from_semiaxes([1.0, 0.5]), cube(1.0, 2)):
+            assert not body.flat_points
+            with pytest.raises(UnsupportedRepresentation):
+                body.normal(np.array([1.0, 0.0]))
+            with pytest.raises(UnsupportedRepresentation):
+                body.normal_jacobian(np.array([1.0, 0.0]))
+
+
 class TestConstruction:
     def test_asymmetric_vertices_rejected(self):
         with pytest.raises(BodyError):
@@ -385,6 +430,16 @@ class TestConstruction:
             Ellipsoid(A)
         with pytest.raises(BodyError, match="symmetric"):
             Ellipsoid([[1.0, 1e-11], [0.0, 1.0]])
+        # nan compares false with any tolerance, so it must be refused first
+        for bad in (np.nan, np.inf):
+            A = np.diag([1e6, 1.0, 1.0])
+            A[0, 1] = bad
+            with pytest.raises(BodyError, match="finite"):
+                Ellipsoid(A)
+            with pytest.raises(BodyError, match="finite"):
+                Ellipsoid(np.diag([1.0, bad]))
+        with pytest.raises(BodyError, match="positive"):
+            Ellipsoid.from_semiaxes([1.0, np.nan, 1.0])
 
     def test_indefinite_shape_matrix_rejected(self):
         with pytest.raises(BodyError):

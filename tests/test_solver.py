@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube
-from capsec.families import fit_inside, random_instance, random_rotation
+from capsec.families import fit_inside, random_ellipsoid, random_instance, random_rotation
 from capsec.functional import DegenerateSectionError, RejectedInstanceError, _touch_and_section, evaluate
 from capsec.sections import hyperplane_chart
 from capsec.solver import (
@@ -13,7 +13,9 @@ from capsec.solver import (
     CriticalPair,
     SolverConfig,
     TheoremReport,
+    _chart_hessian,
     _classify,
+    _newton_chart,
     _polish,
     _residual_jacobian,
     grid_census,
@@ -148,13 +150,20 @@ class TestContinuum:
         report = solve(K, L, SolverConfig(starts=192, seed=2))
         assert not report.degenerate_continuum
         assert report.continuum_justification is None
-        minima = [p for p in report.pairs if p.kind == "min"]
-        assert len(minima) == 4
-        assert all(np.abs(p.direction) == pytest.approx(np.full(3, 3**-0.5), abs=1e-9) for p in minima)
-        # every pair lies on a line spanned by a vector in {0, +-1}^3, the closed-form critical set
+        # p = 3.70 > 2: the critical set is the 13 lines spanned by {0, +-1}^3, and f
+        # falls with h_L = s ||z||_q, so a line with k nonzero coordinates has index 3 - k
+        lines = {}
+        for v in itertools.product([-1, 0, 1], repeat=3):
+            if any(v) and v[np.flatnonzero(v)[0]] > 0:
+                lines[v] = ("max", "saddle", "min")[np.count_nonzero(v) - 1]
+        assert len(report.pairs) == len(lines) == 13
+        found = {}
         for p in report.pairs:
-            support = np.abs(p.direction) > 1e-6
-            assert np.abs(p.direction[support]) == pytest.approx(np.full(support.sum(), support.sum() ** -0.5), abs=1e-6)
+            v = tuple(int(c) for c in np.round(p.direction * np.sqrt(np.count_nonzero(np.abs(p.direction) > 0.1))))
+            assert p.direction == pytest.approx(np.array(v) / np.linalg.norm(v), abs=1e-8)
+            found[v] = p.kind
+        assert found == lines
+        assert report.euler_sum == 1  # chi(RP^2)
         assert report.certified
 
 
@@ -232,27 +241,67 @@ class TestResidualJacobian:
         with pytest.raises(DegenerateSectionError):
             _residual_jacobian(K, L, d)
 
-    def test_flat_touch_point_stops_the_polish(self):
-        # an lp-ball with p > 2 is flat where a coordinate of z is 0: h_L has no finite Hessian
-        K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
-        z = np.array([1.0, 0.0, 2.0]) / np.sqrt(5.0)
+    @pytest.mark.parametrize("start", [[1e-3, 2e-3, 1.0], [1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+    def test_polish_reaches_flat_points(self, start):
+        # an lp-ball with p > 2 is flat where a coordinate of z is 0: D^2 h_L is
+        # unbounded there, so the polish steps the touch point on L's boundary
+        K, L = Ball(1.0, 3), LpBall(2.87, 0.5, 3)
+        z = np.array(start) / np.linalg.norm(start)
         stats = {"iterations": 0, "degenerate_rejections": 0}
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf or nan reaches lstsq
             z_out, res = _polish(K, L, z, stats)
-        assert z_out is z
-        assert res > RESIDUAL_TOL
-        assert stats == {"iterations": 0, "degenerate_rejections": 1}
+        assert res <= RESIDUAL_TOL
+        assert stats["degenerate_rejections"] == 0 and stats["iterations"] <= 10
+        v = np.round(np.abs(z_out) * np.sqrt(np.count_nonzero(np.abs(z_out) > 0.1)))
+        assert np.abs(z_out) == pytest.approx(v / np.linalg.norm(v), abs=1e-8)
 
-    def test_flat_touch_point_is_unclassified(self):
-        K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
-        axis = np.eye(3)[0]  # critical by symmetry
-        assert evaluate(K, L, axis).residual <= RESIDUAL_TOL
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-7])
+    def test_flat_touch_points_are_classified(self, offset):
+        # f ~ -|z_i|^q across a flat point's zero coordinate: that direction counts as negative
+        K = Ball(1.0, 3)
+        d = np.array([offset, -offset, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _classify(K, L, axis) is None
-        # the same axis of a p < 2 ball has a finite Hessian and an index
-        assert _classify(K, LpBall(1.5, 0.5, 3), axis) is not None
+            for p, indices in ((3.0, (2, 1, 0)), (5.7, (2, 1, 0)), (1.5, (0, 1, 2))):
+                L = LpBall(p, 0.5, 3)
+                for line, index in zip(([0, 0, 1], [0, 1, 1], [1, 1, 1]), indices):
+                    z = np.array(line, dtype=float) + d
+                    assert _classify(K, L, z / np.linalg.norm(z)) == index, (p, line)
+
+    def test_schur_inertia_matches_the_direct_hessian(self):
+        # near flat points D^2 h_L is large but finite, so sym(Q^T J) still has an accurate inertia
+        rng = np.random.default_rng(3)
+        split = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 5))
+            K = random_ellipsoid(rng, n, (0.8, 1.6))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # p near 6 warns about conditioning
+                L = fit_inside(K, LpBall(float(rng.uniform(2.5, 6.0)), 1.0, n))
+            z = rng.normal(size=n) * 10.0 ** -rng.integers(0, 3, size=n)
+            z /= np.linalg.norm(z)
+            Q, J = _residual_jacobian(K, L, z)
+            H = Q.T @ J
+            eig, negatives = _chart_hessian(K, L, z)
+            split += 0 < negatives < n - 1
+            assert negatives + np.count_nonzero(eig < 0) == np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)
+        assert split >= 100  # both blocks of the Schur split are exercised
+
+    def test_flat_touch_point_chart(self):
+        # away from flat points both charts give the same Hessian of f
+        K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
+        z = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        Q, J = _residual_jacobian(K, L, z)
+        H = Q.T @ J
+        eig, negatives = _chart_hessian(K, L, z)
+        assert negatives == 0
+        assert eig == pytest.approx(np.linalg.eigvalsh(0.5 * (H + H.T)), rel=1e-10)
+        # the boundary chart's Jacobian is J composed with the normal map's derivative
+        _, J_y, move = _newton_chart(K, L, z)
+        N = L.normal_jacobian(L.touch_point(z))
+        assert J_y == pytest.approx(J @ Q.T @ N @ Q, abs=1e-12)
+        assert move(np.zeros(3)) == pytest.approx(z, abs=1e-15)
 
 
 class TestSquareAndDisk:
