@@ -277,6 +277,13 @@ class Ellipsoid(ConvexBody):
         return Ellipsoid(self.shape_matrix / factor**2)
 
 
+def _norm_gradient(v, r):
+    """||v||_r, a = |v / ||v||_r| and the r-norm's gradient sign(v) a^(r-1) at v."""
+    nr = np.linalg.norm(v, ord=r)
+    a = np.abs(v / nr)
+    return nr, a, np.sign(v) * a ** (r - 1.0)
+
+
 class LpBall(ConvexBody):
     """Scaled lp-ball ``{x : ||x||_p <= s}`` with p in (1, inf)."""
 
@@ -316,8 +323,7 @@ class LpBall(ConvexBody):
     def touch_point(self, u):
         u = _as_vector(u, self.dim)
         _require_nonzero(u)
-        nq = np.linalg.norm(u, ord=self.q)
-        y = np.sign(u) * np.abs(u / nq) ** (self.q - 1.0)
+        _, _, y = _norm_gradient(u, self.q)
         return self.scale * y
 
     def touch_point_jacobian(self, u):
@@ -329,9 +335,7 @@ class LpBall(ConvexBody):
         """
         u = _as_vector(u, self.dim)
         _require_nonzero(u)
-        nq = np.linalg.norm(u, ord=self.q)
-        a = np.abs(u / nq)
-        y = np.sign(u) * a ** (self.q - 1.0)
+        nq, a, y = _norm_gradient(u, self.q)
         with np.errstate(divide="ignore"):
             curvature = a ** (self.q - 2.0)
         return (self.q - 1.0) * self.scale / nq * (np.diag(curvature) - np.outer(y, y))
@@ -340,7 +344,7 @@ class LpBall(ConvexBody):
         # the gradient of the gauge ||y||_p / s, normalized
         y = _as_vector(y, self.dim, "y")
         _require_nonzero(y)
-        w = np.sign(y) * np.abs(y / np.linalg.norm(y, ord=self.p)) ** (self.p - 1.0)
+        _, _, w = _norm_gradient(y, self.p)
         return w / np.linalg.norm(w)
 
     def normal_jacobian(self, y):
@@ -352,9 +356,7 @@ class LpBall(ConvexBody):
         """
         y = _as_vector(y, self.dim, "y")
         _require_nonzero(y)
-        npy = np.linalg.norm(y, ord=self.p)
-        a = np.abs(y / npy)
-        w = np.sign(y) * a ** (self.p - 1.0)
+        npy, a, w = _norm_gradient(y, self.p)
         nw = np.linalg.norm(w)
         z = w / nw
         return (self.p - 1.0) / (npy * nw) * ((np.eye(self.dim) - np.outer(z, z)) * a ** (self.p - 2.0))

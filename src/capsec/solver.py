@@ -4,10 +4,12 @@ Runs projected-gradient descent/ascent with Armijo backtracking on the sphere,
 polishes candidates with a damped Gauss-Newton iteration on the
 centroid-minus-touch-point residual, deduplicates antipodal clusters, and
 certifies the distinct-pair count against the dimension lower bound.  The
-residual's Jacobian, used by the polish and by the Morse classification, is
-exact: it is composed from the section's centroid partials and the Hessian of
-L's support function, or, where L has flat points, the derivative of L's
-normal map.
+residual's Jacobian J, in the polish's chart Q, is exact: it is composed from
+the section's centroid partials and the Hessian of L's support function, or,
+where L has flat points, the derivative of L's normal map.  A pair's Morse
+index is the number of eigenvalues of Q^T J with negative real part, in
+whichever chart the polish used; by Sylvester's law of inertia both charts
+give the inertia of the Hessian of f.
 
 A report stores only what the search measured; a pair's kind, the report's
 continuum flag and its Euler sum are read off the pairs' Morse indices.  The
@@ -47,7 +49,7 @@ DEDUP_ANGLE = 1e-3  # projective angle (rad) within which converged directions a
 GRADIENT_MAX_ITERS = 500
 STEP_INIT = 0.1
 POLISH_TRIGGER = 1e-3  # residual below which the gradient stage hands over
-FLAT_EIGENVALUE = 1e-6  # eigenvalues of sym(Q^T J) below this times diam(K) count as zero
+FLAT_EIGENVALUE = 1e-6  # eigenvalues of Q^T J this close to 0, times diam(K) in the sphere chart, are flat
 POLISH_MAX_ITERS = 30
 CANONICAL_TOL = 1e-9  # coordinates at most this small do not fix a pair's sign
 
@@ -78,7 +80,7 @@ class CriticalPair:
     residual: float
     centroid: np.ndarray
     touch_point: np.ndarray
-    morse_index: int | None = None  # negative eigenvalues of sym(Q^T J); None when unclassified
+    morse_index: int | None = None  # eigenvalues of Q^T J with negative real part; None when unclassified
     basin_count: int = 1
 
     @property
@@ -230,29 +232,20 @@ def _centroid_derivative(K, L, z):
     return hyperplane_chart(z), p, dc_dx + np.outer(dc_dt, p)
 
 
-def _residual_jacobian(K, L, z):
-    """Tangent chart Q at z and the Jacobian J of centroid - touch point in it.
-
-    J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q.  At a critical direction the Hessian
-    of f in the chart is ``measure * Q^T J``.  D^2 h_L is unbounded, and J with
-    it, at the normals of L's flat points (``L.flat_points``).
-    """
-    Q, _, dc = _centroid_derivative(K, L, z)
-    return Q, (dc - L.touch_point_jacobian(z)) @ Q
-
-
 def _newton_chart(K, L, z):
     """Chart Q, the residual's Jacobian J in it, and the map from a chart step to the next z.
 
-    The step moves z on the sphere.  Where L has flat points it moves the
-    touch point y on L's boundary instead, with z = ``L.normal(y)``: there the
-    residual c(normal(y)) - y has the Jacobian (dc/dx + dc/dt y^T) N Q - Q,
-    N = ``L.normal_jacobian(y)``, bounded where D^2 h_L is not.
+    The step moves z on the sphere, and J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q.
+    D^2 h_L is unbounded at the normals of L's flat points (``L.flat_points``),
+    so where L has them the step moves the touch point y on L's boundary
+    instead, with z = ``L.normal(y)``: there the residual c(normal(y)) - y has
+    the Jacobian (dc/dx + dc/dt y^T) N Q - Q, N = ``L.normal_jacobian(y)``,
+    bounded where D^2 h_L is not.  In either chart Q^T J carries the Morse
+    index (``_classify``).
     """
-    if not L.flat_points:
-        Q, J = _residual_jacobian(K, L, z)
-        return Q, J, lambda step: (z + step) / np.linalg.norm(z + step)
     Q, y, dc = _centroid_derivative(K, L, z)
+    if not L.flat_points:
+        return Q, (dc - L.touch_point_jacobian(z)) @ Q, lambda step: (z + step) / np.linalg.norm(z + step)
     return Q, dc @ L.normal_jacobian(y) @ Q - Q, lambda step: L.normal(y + step)
 
 
@@ -293,43 +286,26 @@ def _polish(K, L, z, stats):
     return z, rn
 
 
-def _chart_hessian(K, L, z):
-    """sym(Q^T J), the chart Hessian of f over the measure, as (eigenvalues, extra negatives).
-
-    Where L has flat points, D^2 h_L is the inverse of T = Q^T N Q on the
-    chart, and T's eigendirections with t ||A|| <= 1/2 (A = sym(Q^T (dc/dx +
-    dc/dt p^T) Q)) make A - T^{-1} negative definite on their span E; t = 0
-    at a flat point, where D^2 h_L is infinite.  By Haynsworth's inertia
-    additivity the index is dim E plus that of the Schur complement on the
-    other directions, whose eigenvalues are returned: all of them bounded.
-    """
-    if not L.flat_points:
-        Q, J = _residual_jacobian(K, L, z)
-        H = Q.T @ J
-        return np.linalg.eigvalsh(0.5 * (H + H.T)), 0
-    Q, y, dc = _centroid_derivative(K, L, z)
-    A = Q.T @ dc @ Q
-    T = Q.T @ L.normal_jacobian(y) @ Q
-    t, U = np.linalg.eigh(0.5 * (T + T.T))
-    A = U.T @ (0.5 * (A + A.T)) @ U
-    E = t * np.abs(np.linalg.eigvalsh(A)).max() <= 0.5
-    F = ~E
-    # (A_EE - diag(1/t_E))^{-1} = R (R A_EE R - I)^{-1} R with R = diag(sqrt(t_E)), finite at t = 0
-    R = np.diag(np.sqrt(np.clip(t[E], 0.0, None)))
-    inv_EE = R @ np.linalg.inv(R @ A[np.ix_(E, E)] @ R - np.eye(len(R))) @ R
-    S = A[np.ix_(F, F)] - np.diag(1.0 / t[F]) - A[np.ix_(F, E)] @ inv_EE @ A[np.ix_(E, F)]
-    return np.linalg.eigvalsh(0.5 * (S + S.T)), int(E.sum())
-
-
 def _classify(K, L, z):
-    """Morse index (negative eigenvalues of sym(Q^T J), see ``_chart_hessian``); None if one is flat or a section degenerate."""
+    """Morse index: the eigenvalues of Q^T J with negative real part, (Q, J) from ``_newton_chart``.
+
+    At a critical direction in the sphere chart, Q^T J is the chart Hessian of
+    f over the measure.  In the boundary chart it is A T - I = (A - T^{-1}) T, with A = Q^T (dc/dx +
+    dc/dt y^T) Q and T = Q^T N Q >= 0 the inverse of D^2 h_L on the chart.
+    It is similar to T^{1/2} (A - T^{-1}) T^{1/2}, so its eigenvalues are
+    real and, by Sylvester's law of inertia, their signs are the Hessian's; a
+    flat direction (t = 0, where D^2 h_L is infinite) gives -1.  None if an
+    eigenvalue is within ``FLAT_EIGENVALUE`` of 0 (times diam(K) in the sphere
+    chart; Q^T J has no units in the boundary chart) or a section degenerates.
+    """
     try:
-        eig, negatives = _chart_hessian(K, L, z)
+        Q, J, _ = _newton_chart(K, L, z)
     except (DegenerateSectionError, RejectedInstanceError):
         return None
-    if np.any(np.abs(eig) <= FLAT_EIGENVALUE * K.diameter()):
+    eig = np.linalg.eigvals(Q.T @ J).real
+    if np.any(np.abs(eig) <= FLAT_EIGENVALUE * (1.0 if L.flat_points else K.diameter())):
         return None
-    return negatives + int(np.count_nonzero(eig < 0))
+    return int(np.count_nonzero(eig < 0))
 
 
 def solve(K, L, config=None):

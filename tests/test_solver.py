@@ -13,11 +13,10 @@ from capsec.solver import (
     CriticalPair,
     SolverConfig,
     TheoremReport,
-    _chart_hessian,
+    _centroid_derivative,
     _classify,
     _newton_chart,
     _polish,
-    _residual_jacobian,
     grid_census,
     solve,
 )
@@ -181,14 +180,27 @@ class TestDegenerateGeometry:
 
 
 def fd_residual_jacobian(K, L, z, step=1e-6):
-    """Central-difference Jacobian of centroid - touch point in the chart at z: 2(n-1) residuals."""
-    Q = hyperplane_chart(z)
+    """Central-difference Jacobian of centroid - touch point in the polish's chart at z: 2(n-1) residuals.
 
-    def residual(w):
-        _, touch, sec = _touch_and_section(K, L, w / np.linalg.norm(w))
+    The chart steps z on the sphere, or, where L has flat points, the touch
+    point y on L's boundary, with z = L.normal(y).
+    """
+    Q = hyperplane_chart(z)
+    y = L.touch_point(z)
+
+    def residual(s):
+        w = L.normal(y + s) if L.flat_points else (z + s) / np.linalg.norm(z + s)
+        _, touch, sec = _touch_and_section(K, L, w)
         return sec.centroid - touch
 
-    return np.column_stack([(residual(z + step * q) - residual(z - step * q)) / (2.0 * step) for q in Q.T])
+    return np.column_stack([(residual(step * q) - residual(-step * q)) / (2.0 * step) for q in Q.T])
+
+
+def sphere_chart_hessian(K, L, z):
+    """sym(Q^T J) with J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q, the sphere chart's Jacobian, for any L."""
+    Q, _, dc = _centroid_derivative(K, L, z)
+    H = Q.T @ (dc - L.touch_point_jacobian(z)) @ Q
+    return 0.5 * (H + H.T)
 
 
 def outer_body(kind, dim, rng):
@@ -224,7 +236,7 @@ class TestResidualJacobian:
             for _ in range(4):
                 z = rng.normal(size=dim)
                 z /= np.linalg.norm(z)
-                Q, J = _residual_jacobian(K, L, z)
+                Q, J, _ = _newton_chart(K, L, z)
                 assert Q.tobytes() == hyperplane_chart(z).tobytes()
                 oracle = fd_residual_jacobian(K, L, z)
                 if outer == inner == "ball":
@@ -239,7 +251,11 @@ class TestResidualJacobian:
         with pytest.raises(DegenerateSectionError):
             evaluate(K, L, d)
         with pytest.raises(DegenerateSectionError):
-            _residual_jacobian(K, L, d)
+            _newton_chart(K, L, d)
+
+    def test_degenerate_section_is_unclassified(self, needle_in_cube):
+        K, L, d = needle_in_cube
+        assert _classify(K, L, d) is None
 
     @pytest.mark.parametrize("start", [[1e-3, 2e-3, 1.0], [1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
     def test_polish_reaches_flat_points(self, start):
@@ -269,39 +285,44 @@ class TestResidualJacobian:
                     z = np.array(line, dtype=float) + d
                     assert _classify(K, L, z / np.linalg.norm(z)) == index, (p, line)
 
-    def test_schur_inertia_matches_the_direct_hessian(self):
-        # near flat points D^2 h_L is large but finite, so sym(Q^T J) still has an accurate inertia
+    def test_index_is_the_inertia_of_the_sphere_chart_hessian(self):
+        # away from flat points (every |z_i| >= 1e-3) D^2 h_L is finite, so the sphere
+        # chart's sym(Q^T J) is an oracle for the index read in the boundary chart
         rng = np.random.default_rng(3)
-        split = 0
-        for _ in range(400):
-            n = int(rng.integers(3, 5))
+        pairs = saddles = 0
+        for i in range(16):
+            n = 3 + i % 2
             K = random_ellipsoid(rng, n, (0.8, 1.6))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # p near 6 warns about conditioning
                 L = fit_inside(K, LpBall(float(rng.uniform(2.5, 6.0)), 1.0, n))
-            z = rng.normal(size=n) * 10.0 ** -rng.integers(0, 3, size=n)
-            z /= np.linalg.norm(z)
-            Q, J = _residual_jacobian(K, L, z)
-            H = Q.T @ J
-            eig, negatives = _chart_hessian(K, L, z)
-            split += 0 < negatives < n - 1
-            assert negatives + np.count_nonzero(eig < 0) == np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)
-        assert split >= 100  # both blocks of the Schur split are exercised
+            for p in solve(K, L, SolverConfig(starts=8 * n, seed=i)).pairs:
+                z = p.direction
+                if np.abs(z).min() < 1e-3:
+                    continue
+                index = np.count_nonzero(np.linalg.eigvalsh(sphere_chart_hessian(K, L, z)) < 0)
+                assert _classify(K, L, z) == index, (i, z)
+                Q, J, _ = _newton_chart(K, L, z)
+                eig = np.linalg.eigvals(Q.T @ J)
+                assert np.abs(eig.imag).max() <= 1e-12 * np.abs(eig).max()
+                pairs += 1
+                saddles += 0 < index < n - 1
+        assert pairs >= 60 and saddles >= 15
 
     def test_flat_touch_point_chart(self):
-        # away from flat points both charts give the same Hessian of f
+        # the boundary chart's Jacobian is the sphere chart's composed with the normal map's derivative
         K, L = Ball(1.0, 3), LpBall(3.0, 0.5, 3)
         z = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-        Q, J = _residual_jacobian(K, L, z)
-        H = Q.T @ J
-        eig, negatives = _chart_hessian(K, L, z)
-        assert negatives == 0
-        assert eig == pytest.approx(np.linalg.eigvalsh(0.5 * (H + H.T)), rel=1e-10)
-        # the boundary chart's Jacobian is J composed with the normal map's derivative
-        _, J_y, move = _newton_chart(K, L, z)
-        N = L.normal_jacobian(L.touch_point(z))
+        Q, p, dc = _centroid_derivative(K, L, z)
+        J = (dc - L.touch_point_jacobian(z)) @ Q
+        Q_y, J_y, move = _newton_chart(K, L, z)
+        assert Q_y.tobytes() == Q.tobytes()
+        N = L.normal_jacobian(p)
         assert J_y == pytest.approx(J @ Q.T @ N @ Q, abs=1e-12)
         assert move(np.zeros(3)) == pytest.approx(z, abs=1e-15)
+        # both charts give the same index here, where D^2 h_L is finite
+        H = Q.T @ J
+        assert _classify(K, L, z) == np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)
 
 
 class TestSquareAndDisk:
