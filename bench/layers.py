@@ -5,9 +5,11 @@
 times ``touch_point`` for a ball, ellipsoid and lp-ball L, and, on one fixed
 instance per outer-body kind, ``cap_volume`` and ``section`` on L's supporting
 plane, ``evaluate`` and the polish's chart and residual Jacobian
-(``_newton_chart``) at one fixed direction.  The inner body is a seeded random
-ellipsoid fitted inside K; one more chart case fits an lp-ball with p = 3 in a
-ball, so the boundary chart at L's flat points is timed too.
+(``_newton_chart``) at one fixed direction, and the solver stages from that
+direction: the descent ``_gradient_stage``, and the ``_polish`` from where the
+descent ends.  The inner body is a seeded random ellipsoid fitted inside K;
+one more chart case fits an lp-ball with p = 3 in a ball, so the boundary
+chart at L's flat points is timed too.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from capsec.bodies import Ball, LpBall, VPolytope, cube
 from capsec.families import fit_inside, random_ellipsoid
 from capsec.functional import _supporting_plane, evaluate
 from capsec.sections import cap_volume, section
-from capsec.solver import _newton_chart
+from capsec.solver import POLISH_TRIGGER, RESIDUAL_TOL, _gradient_stage, _newton_chart, _polish
 
 KINDS = ("ball", "ellipsoid", "hpolytope", "vpolytope")
 INNER_KINDS = ("ball", "ellipsoid", "lpball")
@@ -72,14 +74,14 @@ def test_touch_point(benchmark, kind, dim):
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_cap_volume(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
-    H = _supporting_plane(K, L, z)
+    H, _ = _supporting_plane(K, L, z)
     assert 0.0 < benchmark(cap_volume, K, H) < K.volume()
 
 
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_section(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
-    H = _supporting_plane(K, L, z)
+    H, _ = _supporting_plane(K, L, z)
     assert not benchmark(section, K, H).degenerate
 
 
@@ -94,6 +96,23 @@ def test_newton_chart(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
     Q, J, _ = benchmark(_newton_chart, K, L, z)
     assert J.shape == (dim, dim - 1) and np.isfinite(J).all()
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_gradient_stage(benchmark, kind, dim):
+    K, L, z = instance(kind, dim)
+    stats = {"iterations": 0, "degenerate_rejections": 0}
+    _, r = benchmark(_gradient_stage, K, L, z, +1.0, stats)
+    assert np.linalg.norm(r) < POLISH_TRIGGER
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_polish(benchmark, kind, dim):
+    K, L, z = instance(kind, dim)
+    stats = {"iterations": 0, "degenerate_rejections": 0}
+    z, r = _gradient_stage(K, L, z, +1.0, stats)
+    _, res = benchmark(_polish, K, L, z, stats, r)
+    assert res <= RESIDUAL_TOL
 
 
 def test_newton_chart_flat_points(benchmark):

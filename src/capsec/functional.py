@@ -92,14 +92,19 @@ def _unit(z):
 
 
 def _supporting_plane(K, L, z):
-    """L's supporting hyperplane with unit normal z; refused if K's support gap there is below the margin."""
+    """L's supporting hyperplane with unit normal z, and h_K(z).
+
+    Refused if K's support gap there is below the margin.  The slicing takes
+    h_K(z) from here, so it is computed once per direction.
+    """
     t = L.support(z)
-    gap, m = K.support(z) - t, default_margin(K)
+    h = K.support(z)
+    gap, m = h - t, default_margin(K)
     if gap < m:
         raise RejectedInstanceError(
             f"containment margin violated along direction {z}: support gap {gap:g} < {m:g}"
         )
-    return Hyperplane(z, t)
+    return Hyperplane(z, t), h
 
 
 def _require_measure(K, z, sec):
@@ -109,21 +114,21 @@ def _require_measure(K, z, sec):
 
 
 def _touch_and_section(K, L, z):
-    """Supporting plane, touching point and section for direction z; cheap core of evaluate."""
-    plane = _supporting_plane(K, L, z)
-    sec = section(K, plane)
+    """Supporting plane, h_K(z), touching point and section for direction z; cheap core of evaluate."""
+    plane, h = _supporting_plane(K, L, z)
+    sec = section(K, plane, support=h)
     _require_measure(K, z, sec)
-    return plane, L.touch_point(z), sec
+    return plane, h, L.touch_point(z), sec
 
 
 def evaluate(K, L, z):
     """Objective, section, tangential gradient and residual |centroid - touch point| at unit direction z."""
     z = _unit(z)
-    plane, touch, sec = _touch_and_section(K, L, z)
+    plane, h, touch, sec = _touch_and_section(K, L, z)
     diff = sec.centroid - touch
     residual = float(np.linalg.norm(diff))
     grad = sec.measure * (diff - (diff @ z) * z)
-    f = cap_volume(K, plane)
+    f = cap_volume(K, plane, support=h)
     return FunctionalEval(z, f, touch, sec, grad, residual)
 
 
@@ -138,7 +143,8 @@ def fd_tangential_gradient(K, L, z):
     grad = np.zeros(K.dim)
 
     def f(direction):
-        return cap_volume(K, _supporting_plane(K, L, direction / np.linalg.norm(direction)))
+        plane, h = _supporting_plane(K, L, direction / np.linalg.norm(direction))
+        return cap_volume(K, plane, support=h)
 
     for j in range(Q.shape[1]):
         w = Q[:, j]

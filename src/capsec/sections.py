@@ -325,21 +325,24 @@ def _check_plane(K, H):
         raise BodyError("hyperplane and body dimensions differ")
 
 
-def cap_volume(K, H):
+def cap_volume(K, H, *, support=None):
     """n-volume of ``{y in K : <direction, y> >= offset}``.
 
     Exact for polytopes in every dimension, closed form for balls and
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
+    ``support``, if given, is ``K.support(H.direction)``, which a caller that
+    has it passes so it is not computed again.
     """
     _check_plane(K, H)
     x, t = H.direction, H.offset
     if isinstance(K, Ball):
         return K.volume() * _ball_cap_fraction(t / K.radius, K.dim)
+    if support is None:
+        support = K.support(x)
     if isinstance(K, Ellipsoid):
         # affine reduction: A^{-1/2} maps the unit ball onto K, the cap onto a ball cap
-        return K.volume() * _ball_cap_fraction(t / K.support(x), K.dim)
+        return K.volume() * _ball_cap_fraction(t / support, K.dim)
     if isinstance(K, VPolytope):
-        support = float(np.max(K.vertices @ x))
         if t >= support:
             return 0.0
         if t <= -support:
@@ -348,13 +351,14 @@ def cap_volume(K, H):
     raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
 
 
-def section(K, H):
+def section(K, H, *, support=None):
     """Measure, centroid and moment of ``K ∩ H``.
 
     Exact for polytopes in every dimension, closed form for balls and
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
     Degenerate sections (|offset| >= support) come back with measure 0 and an
     undefined centroid; callers must branch on ``SectionData.degenerate``.
+    ``support`` is as in ``cap_volume``.
     """
     _check_plane(K, H)
     x, t = H.direction, H.offset
@@ -366,13 +370,13 @@ def section(K, H):
         centroid = t * x
         return SectionData(measure, centroid, SectionMethod.ANALYTIC)
     if isinstance(K, Ellipsoid):
-        return _ellipsoid_section(K, x, t)
+        return _ellipsoid_section(K, x, t, K.support(x) if support is None else support)
     if isinstance(K, VPolytope):
         return _polytope_section(K, H)
     raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
 
-def section_partials(K, H):
+def section_partials(K, H, *, support=None):
     """Section of ``K ∩ H`` and the partial derivatives of its centroid.
 
     With ``c(x, t)`` the centroid of ``K ∩ {y : <x, y> = t}`` on nonzero x,
@@ -380,7 +384,7 @@ def section_partials(K, H):
     with t held and the (n,) derivative in the offset t, at H.  Closed forms
     for balls and ellipsoids; for polytopes the derivative of the cone sums
     (one-sided where a vertex lies on H).  A degenerate section gives
-    ``(sec, None, None)``.
+    ``(sec, None, None)``.  ``support`` is as in ``cap_volume``.
     """
     _check_plane(K, H)
     x, t = H.direction, H.offset
@@ -393,7 +397,7 @@ def section_partials(K, H):
         # c(x, t) = sgn c~(a x, a sgn t), where a = +-1 fixed the direction's sign
         a = 1.0 if xc @ x > 0.0 else -1.0
         return SectionData(measure, sgn * centroid, SectionMethod.EXACT), sgn * a * dc_dx, a * dc_dt
-    sec = section(K, H)
+    sec = section(K, H, support=support)
     if sec.degenerate:
         return sec, None, None
     # the centroid is t P x / (x^T P x), with P = A^{-1} for an ellipsoid and P = I for a ball
@@ -403,8 +407,7 @@ def section_partials(K, H):
     return sec, t * (P - 2.0 * np.outer(w, w) / q) / q, w / q
 
 
-def _ellipsoid_section(K, x, t):
-    h = K.support(x)
+def _ellipsoid_section(K, x, t, h):
     tau = t / h
     if abs(tau) >= 1.0:
         return SectionData(0.0, None, SectionMethod.ANALYTIC)

@@ -1,15 +1,17 @@
 """Multi-start search for antipodal pairs of critical directions.
 
-Runs projected-gradient descent/ascent with Armijo backtracking on the sphere,
-polishes candidates with a damped Gauss-Newton iteration on the
-centroid-minus-touch-point residual, deduplicates antipodal clusters, and
-certifies the distinct-pair count against the dimension lower bound.  The
-residual's Jacobian J, in the polish's chart Q, is exact: it is composed from
-the section's centroid partials and the Hessian of L's support function, or,
-where L has flat points, the derivative of L's normal map.  A pair's Morse
-index is the number of eigenvalues of Q^T J with negative real part, in
-whichever chart the polish used; by Sylvester's law of inertia both charts
-give the inertia of the Hessian of f.
+Runs projected-gradient descent/ascent on the sphere with Armijo
+backtracking, whose retries are chosen by quadratic interpolation; polishes
+each candidate, from the gradient stage's last evaluation, with a damped
+Gauss-Newton iteration on the centroid-minus-touch-point residual;
+deduplicates antipodal clusters; and certifies the distinct-pair count
+against the dimension lower bound.  The residual's Jacobian J, in the
+polish's chart Q, is exact: it is composed from the section's centroid
+partials and the Hessian of L's support function, or, where L has flat
+points, the derivative of L's normal map.  A pair's Morse index is the
+number of eigenvalues of Q^T J with negative real part, in whichever chart
+the polish used; by Sylvester's law of inertia both charts give the inertia
+of the Hessian of f.
 
 A report stores only what the search measured; a pair's kind, the report's
 continuum flag and its Euler sum are read off the pairs' Morse indices.  The
@@ -116,7 +118,7 @@ class TheoremReport:
         flat = sum(p.morse_index is None for p in self.pairs)
         if not flat:
             return None
-        return f"{flat}/{len(self.pairs)} pairs have a flat eigenvalue of sym(Q^T J) or a degenerate section"
+        return f"{flat}/{len(self.pairs)} pairs have a flat eigenvalue of Q^T J or a degenerate section"
 
     @property
     def euler_sum(self):
@@ -168,14 +170,21 @@ def _start_directions(dim, count, seed):
 
 
 def _residual_vector(K, L, z):
-    _, touch, sec = _touch_and_section(K, L, z)
+    _, _, touch, sec = _touch_and_section(K, L, z)
     return sec.centroid - touch
 
 
 def _gradient_stage(K, L, z, sign, stats, trace=None):
-    """Projected gradient with normalization retraction and Armijo backtracking.
+    """Projected gradient, normalization retraction, Armijo backtracking with quadratic-interpolation retries.
 
-    ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).
+    ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).  Along
+    the step phi(s) = sign f((z + s d)/|z + s d|), phi'(0) = -|g|.  A trial s
+    that fails the Armijo test is retried at the minimiser of the quadratic
+    through phi(0), phi'(0) and phi(s), kept in [0.1 s, 0.5 s]; a failed test
+    gives the quadratic positive curvature, so the minimiser exists.  A
+    degenerate trial section halves s.  Returns the last iterate and its
+    residual vector centroid - touch point, which starts the polish; the
+    residual is None if the first section is degenerate.
     ``trace``, if given, records the objective value at each accepted iterate.
     """
     step = STEP_INIT
@@ -183,7 +192,7 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
         ev = evaluate(K, L, z)
     except DegenerateSectionError:
         stats["degenerate_rejections"] += 1
-        return z
+        return z, None
     if trace is not None:
         trace.append(ev.f_value)
     for _ in range(GRADIENT_MAX_ITERS):
@@ -205,10 +214,11 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
             except DegenerateSectionError:
                 s *= 0.5
                 continue
-            if sign * ev_new.f_value <= phi0 - 1e-4 * s * gn:
+            phi = sign * ev_new.f_value
+            if phi <= phi0 - 1e-4 * s * gn:
                 accepted = True
                 break
-            s *= 0.5
+            s = min(max(gn * s * s / (2.0 * (phi - phi0 + gn * s)), 0.1 * s), 0.5 * s)
         if not accepted:
             break
         z, ev = z_new, ev_new
@@ -216,7 +226,7 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
         stats["iterations"] += 1
         if trace is not None:
             trace.append(ev.f_value)
-    return z
+    return ev.direction, ev.section.centroid - ev.touch_point
 
 
 def _centroid_derivative(K, L, z):
@@ -225,8 +235,8 @@ def _centroid_derivative(K, L, z):
     The last is the derivative of the section centroid along L's supporting
     planes, from the section's centroid partials.  Refuses z as ``evaluate`` does.
     """
-    plane = _supporting_plane(K, L, z)
-    sec, dc_dx, dc_dt = section_partials(K, plane)
+    plane, h = _supporting_plane(K, L, z)
+    sec, dc_dx, dc_dt = section_partials(K, plane, support=h)
     _require_measure(K, z, sec)
     p = L.touch_point(z)
     return hyperplane_chart(z), p, dc_dx + np.outer(dc_dt, p)
@@ -249,13 +259,18 @@ def _newton_chart(K, L, z):
     return Q, dc @ L.normal_jacobian(y) @ Q - Q, lambda step: L.normal(y + step)
 
 
-def _polish(K, L, z, stats):
-    """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart."""
-    try:
-        r = _residual_vector(K, L, z)
-    except DegenerateSectionError:
-        stats["degenerate_rejections"] += 1
-        return z, np.inf
+def _polish(K, L, z, stats, r=None):
+    """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart.
+
+    ``r``, if given, is the residual vector at z (the gradient stage's last
+    evaluation); otherwise it is computed here.
+    """
+    if r is None:
+        try:
+            r = _residual_vector(K, L, z)
+        except DegenerateSectionError:
+            stats["degenerate_rejections"] += 1
+            return z, np.inf
     rn = np.linalg.norm(r)
     for _ in range(POLISH_MAX_ITERS):
         if rn <= 0.25 * RESIDUAL_TOL:
@@ -324,11 +339,12 @@ def solve(K, L, config=None):
     # starts cycle through descent, ascent and polish only
     candidates = []
     for i, z in enumerate(starts):
+        r = None
         if i % 3 == 0:
-            z = _gradient_stage(K, L, z, +1.0, stats)
+            z, r = _gradient_stage(K, L, z, +1.0, stats)
         elif i % 3 == 1:
-            z = _gradient_stage(K, L, z, -1.0, stats)
-        z, res = _polish(K, L, z, stats)
+            z, r = _gradient_stage(K, L, z, -1.0, stats)
+        z, res = _polish(K, L, z, stats, r)
         if res <= RESIDUAL_TOL:
             candidates.append((_canonical(z), res))
 

@@ -6,17 +6,27 @@ import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube
 from capsec.families import fit_inside, random_ellipsoid, random_instance, random_rotation
-from capsec.functional import DegenerateSectionError, RejectedInstanceError, _touch_and_section, evaluate
-from capsec.sections import hyperplane_chart
+import capsec.solver as solver_module
+from capsec.functional import (
+    DegenerateSectionError,
+    FunctionalEval,
+    RejectedInstanceError,
+    _touch_and_section,
+    evaluate,
+)
+from capsec.sections import SectionData, SectionMethod, hyperplane_chart
 from capsec.solver import (
     RESIDUAL_TOL,
+    STEP_INIT,
     CriticalPair,
     SolverConfig,
     TheoremReport,
     _centroid_derivative,
     _classify,
     _newton_chart,
+    _gradient_stage,
     _polish,
+    _residual_vector,
     grid_census,
     solve,
 )
@@ -190,7 +200,7 @@ def fd_residual_jacobian(K, L, z, step=1e-6):
 
     def residual(s):
         w = L.normal(y + s) if L.flat_points else (z + s) / np.linalg.norm(z + s)
-        _, touch, sec = _touch_and_section(K, L, w)
+        _, _, touch, sec = _touch_and_section(K, L, w)
         return sec.centroid - touch
 
     return np.column_stack([(residual(step * q) - residual(-step * q)) / (2.0 * step) for q in Q.T])
@@ -363,6 +373,25 @@ class TestDeterminism:
             assert angle(p.direction, q.direction) < 1e-6
 
 
+def _vpolytope_n3():
+    return random_instance("ellipsoid_in_polytope", 3, 501)
+
+
+def _ellipsoid_n4():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(501)))
+    K = random_ellipsoid(rng, 4, (0.6, 1.2))
+    return K, fit_inside(K, random_ellipsoid(rng, 4, (0.5, 1.0)))
+
+
+def _lp_n3():
+    return random_instance("lp_in_ball", 3, 2)
+
+
+# the benchmark's outer/inner pairs: a V-polytope K at n = 3, an ellipsoid in an ellipsoid at n = 4,
+# and lp_in_ball at n = 3, whose L has flat points
+BENCHMARK_SETTINGS = {"vpolytope-n3": _vpolytope_n3, "ellipsoid-n4": _ellipsoid_n4, "lp-n3": _lp_n3}
+
+
 class TestMonotonicity:
     def test_descent_trace_decreases(self):
         from capsec.solver import _gradient_stage
@@ -380,6 +409,96 @@ class TestMonotonicity:
             trace = []
             _gradient_stage(K, L, z0, -1.0, stats, trace=trace)
             assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
+    @pytest.mark.parametrize("make", BENCHMARK_SETTINGS.values(), ids=BENCHMARK_SETTINGS.keys())
+    def test_benchmark_settings_take_armijo_steps(self, monkeypatch, make, sign):
+        """Every accepted step meets phi(s) <= phi(0) - 1e-4 s |g|, so the trace is monotone.
+
+        ``evaluate`` is recorded; the accepted iterates are the evaluations
+        whose values the trace holds, and each step length s is read back
+        from the retraction z' = (z + s d) / |z + s d|, with d = -g/|g|.
+        """
+        K, L = make()
+        evals = []
+
+        def recording(K, L, z):
+            evals.append(evaluate(K, L, z))
+            return evals[-1]
+
+        monkeypatch.setattr(solver_module, "evaluate", recording)
+        stats = {"iterations": 0, "degenerate_rejections": 0}
+        rng = np.random.default_rng(21)
+        steps = rejected = 0
+        for _ in range(4):
+            z0 = rng.normal(size=K.dim)
+            z0 /= np.linalg.norm(z0)
+            evals.clear()
+            trace = []
+            _gradient_stage(K, L, z0, sign, stats, trace=trace)
+            assert all(sign * b <= sign * a + 1e-15 for a, b in zip(trace, trace[1:]))
+            remaining = iter(evals)
+            accepted = [next(ev for ev in remaining if ev.f_value == f) for f in trace]
+            for a, b in zip(accepted, accepted[1:]):
+                g = sign * a.tangential_gradient
+                gn = np.linalg.norm(g)
+                d = -g / gn
+                s = (b.direction @ d) / (b.direction @ a.direction)
+                assert 0.0 < s <= STEP_INIT * (1 + 1e-12)
+                assert sign * b.f_value <= sign * a.f_value - 1e-4 * s * gn + 1e-15
+            steps += len(trace) - 1
+            rejected += len(evals) - len(trace)
+        assert steps >= 20 and rejected >= 1
+
+
+class TestBacktracking:
+    """The retry after a failed Armijo test is the quadratic model's minimiser in [0.1 s, 0.5 s]."""
+
+    @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
+    def test_retries_follow_the_clipped_quadratic(self, monkeypatch, sign):
+        # phi(s) = sign f along the step; g = sign grad = -2 e2, so |g| = 2, d = e2 and a
+        # trial at s evaluates z = (1, s) / |(1, s)|.  Each entry: the trial's phi, or
+        # None for a degenerate section, and the s the stage must try next.
+        #   s = 0.1:   phi = 1.05, quadratic minimiser 2 * 0.1^2 / (2 * 0.25) = 0.04, inside
+        #   s = 0.04:  degenerate, halves
+        #   s = 0.02:  phi = 1 - 1e-6 fails Armijo; minimiser 0.0100003 is clipped to 0.5 s
+        #   s = 0.01:  phi = 2, minimiser 9.8e-5 is clipped to 0.1 s
+        #   s = 0.001: phi = 0.5 passes
+        script = [(1.05, 0.04), (None, 0.02), (1.0 - 1e-6, 0.01), (2.0, 0.001), (0.5, None)]
+        trials = []
+        sec = SectionData(1.0, np.zeros(2), SectionMethod.ANALYTIC)
+
+        def scripted(K, L, z):
+            z = z / np.linalg.norm(z)
+            if not trials and z[0] == 1.0:
+                phi, residual = 1.0, 1.0  # the start, far from critical
+            else:
+                trials.append(z[1] / z[0])
+                phi, residual = script[len(trials) - 1][0], 0.0  # residual 0 ends the stage
+                if phi is None:
+                    raise DegenerateSectionError(z, 0.0)
+            return FunctionalEval(z, sign * phi, np.zeros(2), sec, np.array([0.0, -2.0 * sign]), residual)
+
+        monkeypatch.setattr(solver_module, "evaluate", scripted)
+        stats = {"iterations": 0, "degenerate_rejections": 0}
+        z, r = _gradient_stage(Ball(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), sign, stats)
+        expected = [STEP_INIT] + [s_next for _, s_next in script[:-1]]
+        assert trials == pytest.approx(expected, rel=1e-12)
+        assert stats["iterations"] == 1
+        assert z == pytest.approx(np.array([1.0, 0.001]) / np.hypot(1.0, 0.001), rel=1e-15)
+        assert np.array_equal(r, np.zeros(2))
+
+    @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
+    def test_stage_hands_the_polish_its_residual(self, sign):
+        """The residual the stage returns is, bit for bit, the one the polish would compute at its z."""
+        K, L = random_instance("ellipsoid_in_polytope", 3, 106)
+        stats = {"iterations": 0, "degenerate_rejections": 0}
+        z0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        z, r = _gradient_stage(K, L, z0, sign, stats)
+        assert stats["iterations"] > 0
+        assert np.array_equal(r, _residual_vector(K, L, z))
+        (za, ra), (zb, rb) = _polish(K, L, z, dict(stats), r), _polish(K, L, z, dict(stats))
+        assert np.array_equal(za, zb) and ra == rb
 
 
 def make_pair(dim, i=0, morse_index=None):
