@@ -445,6 +445,7 @@ class TestMonotonicity:
                 d = -g / gn
                 s = (b.direction @ d) / (b.direction @ a.direction)
                 assert 0.0 < s <= STEP_INIT * (1 + 1e-12)
+                # 1e-15 covers the rounding of s as read back from the unit vectors
                 assert sign * b.f_value <= sign * a.f_value - 1e-4 * s * gn + 1e-15
             steps += len(trace) - 1
             rejected += len(evals) - len(trace)
