@@ -3,13 +3,14 @@
     python -m pytest bench/layers.py --benchmark-json=BENCH_layers.json
 
 times ``touch_point`` for a ball, ellipsoid and lp-ball L, and, on one fixed
-instance per outer-body kind, ``cap_volume`` and ``section`` on L's supporting
-plane, ``evaluate`` and the polish's chart and residual Jacobian
-(``_newton_chart``) at one fixed direction, and the solver stages from that
-direction: the descent ``_gradient_stage``, and the ``_polish`` from where the
-descent ends.  The inner body is a seeded random ellipsoid fitted inside K;
-one more chart case fits an lp-ball with p = 3 in a ball, so the boundary
-chart at L's flat points is timed too.
+instance per outer-body kind, K's and L's ``support`` at one fixed direction
+and K's on a stack of 64 directions, ``cap_volume`` and ``section`` on L's
+supporting plane, ``evaluate`` and the polish's chart and residual Jacobian
+(``_newton_chart``) at that direction, and the solver stages from it: the
+descent ``_gradient_stage``, the ``_polish`` from where the descent ends, and
+``_classify`` at the pair the polish reaches.  The inner body is a seeded
+random ellipsoid fitted inside K; one more chart case fits an lp-ball with
+p = 3 in a ball, so the boundary chart at L's flat points is timed too.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from capsec.bodies import Ball, LpBall, VPolytope, cube
 from capsec.families import fit_inside, random_ellipsoid
 from capsec.functional import _supporting_plane, evaluate
 from capsec.sections import cap_volume, section
-from capsec.solver import POLISH_TRIGGER, RESIDUAL_TOL, _gradient_stage, _newton_chart, _polish
+from capsec.solver import POLISH_TRIGGER, RESIDUAL_TOL, _classify, _gradient_stage, _newton_chart, _polish
 
 KINDS = ("ball", "ellipsoid", "hpolytope", "vpolytope")
 INNER_KINDS = ("ball", "ellipsoid", "lpball")
@@ -71,6 +72,23 @@ def test_touch_point(benchmark, kind, dim):
     assert benchmark(L.touch_point, z) @ z == pytest.approx(L.support(z))
 
 
+@pytest.mark.parametrize("body", ["K", "L"])
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_support(benchmark, kind, dim, body):
+    K, L, z = instance(kind, dim)
+    B = K if body == "K" else L
+    assert 0.0 < benchmark(B.support, z) <= K.support(z)
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_support_stack(benchmark, kind, dim):
+    K, _, _ = instance(kind, dim)
+    U = _rng(3000 * dim + KINDS.index(kind)).normal(size=(64, dim))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    h = benchmark(K.support, U)
+    assert h == pytest.approx([K.support(u) for u in U], rel=1e-14)
+
+
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_cap_volume(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
@@ -101,18 +119,25 @@ def test_newton_chart(benchmark, kind, dim):
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_gradient_stage(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
-    stats = {"iterations": 0, "degenerate_rejections": 0}
-    _, r = benchmark(_gradient_stage, K, L, z, +1.0, stats)
+    _, r, _ = benchmark(_gradient_stage, K, L, z, +1.0)
     assert np.linalg.norm(r) < POLISH_TRIGGER
 
 
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_polish(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
-    stats = {"iterations": 0, "degenerate_rejections": 0}
-    z, r = _gradient_stage(K, L, z, +1.0, stats)
-    _, res = benchmark(_polish, K, L, z, stats, r)
+    z, r, _ = _gradient_stage(K, L, z, +1.0)
+    _, res, _ = benchmark(_polish, K, L, z, r)
     assert res <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_classify(benchmark, kind, dim):
+    K, L, z = instance(kind, dim)
+    z, r, _ = _gradient_stage(K, L, z, +1.0)
+    z, res, _ = _polish(K, L, z, r)
+    assert res <= RESIDUAL_TOL
+    assert benchmark(_classify, K, L, z) == 0  # the descent ends at a minimum
 
 
 def test_newton_chart_flat_points(benchmark):

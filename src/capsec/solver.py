@@ -174,7 +174,7 @@ def _residual_vector(K, L, z):
     return sec.centroid - touch
 
 
-def _gradient_stage(K, L, z, sign, stats, trace=None):
+def _gradient_stage(K, L, z, sign, trace=None):
     """Projected gradient, normalization retraction, Armijo backtracking with quadratic-interpolation retries.
 
     ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).  Along
@@ -182,17 +182,15 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
     that fails the Armijo test is retried at the minimiser of the quadratic
     through phi(0), phi'(0) and phi(s), kept in [0.1 s, 0.5 s]; a failed test
     gives the quadratic positive curvature, so the minimiser exists.  A
-    degenerate trial section halves s.  Returns the last iterate and its
-    residual vector centroid - touch point, which starts the polish; the
-    residual is None if the first section is degenerate.
+    degenerate trial section halves s; a degenerate section at z itself
+    raises ``DegenerateSectionError``.  Returns the last iterate, its residual
+    vector centroid - touch point, which starts the polish, and the number of
+    accepted steps.
     ``trace``, if given, records the objective value at each accepted iterate.
     """
     step = STEP_INIT
-    try:
-        ev = evaluate(K, L, z)
-    except DegenerateSectionError:
-        stats["degenerate_rejections"] += 1
-        return z, None
+    steps = 0
+    ev = evaluate(K, L, z)
     if trace is not None:
         trace.append(ev.f_value)
     for _ in range(GRADIENT_MAX_ITERS):
@@ -223,10 +221,10 @@ def _gradient_stage(K, L, z, sign, stats, trace=None):
             break
         z, ev = z_new, ev_new
         step = min(2.0 * s, STEP_INIT)
-        stats["iterations"] += 1
+        steps += 1
         if trace is not None:
             trace.append(ev.f_value)
-    return ev.direction, ev.section.centroid - ev.touch_point
+    return ev.direction, ev.section.centroid - ev.touch_point, steps
 
 
 def _centroid_derivative(K, L, z):
@@ -259,27 +257,18 @@ def _newton_chart(K, L, z):
     return Q, dc @ L.normal_jacobian(y) @ Q - Q, lambda step: L.normal(y + step)
 
 
-def _polish(K, L, z, stats, r=None):
+def _polish(K, L, z, r):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart.
 
-    ``r``, if given, is the residual vector at z (the gradient stage's last
-    evaluation); otherwise it is computed here.
+    ``r`` is the residual vector at z.  Returns the last z, its residual norm
+    and the number of accepted steps.
     """
-    if r is None:
-        try:
-            r = _residual_vector(K, L, z)
-        except DegenerateSectionError:
-            stats["degenerate_rejections"] += 1
-            return z, np.inf
     rn = np.linalg.norm(r)
+    steps = 0
     for _ in range(POLISH_MAX_ITERS):
         if rn <= 0.25 * RESIDUAL_TOL:
             break
-        try:
-            Q, J, move = _newton_chart(K, L, z)
-        except DegenerateSectionError:
-            stats["degenerate_rejections"] += 1
-            return z, rn
+        Q, J, move = _newton_chart(K, L, z)
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         improved = False
         damping = 1.0
@@ -297,8 +286,8 @@ def _polish(K, L, z, stats, r=None):
             damping *= 0.5
         if not improved:
             break
-        stats["iterations"] += 1
-    return z, rn
+        steps += 1
+    return z, rn, steps
 
 
 def _classify(K, L, z):
@@ -336,15 +325,22 @@ def solve(K, L, config=None):
     starts = _start_directions(n, count, cfg.seed)
     stats = {"iterations": 0, "degenerate_rejections": 0}
 
-    # starts cycle through descent, ascent and polish only
+    # starts cycle through descent, ascent and polish only; a start whose own
+    # section is degenerate is refused, once, and not polished
     candidates = []
     for i, z in enumerate(starts):
-        r = None
-        if i % 3 == 0:
-            z, r = _gradient_stage(K, L, z, +1.0, stats)
-        elif i % 3 == 1:
-            z, r = _gradient_stage(K, L, z, -1.0, stats)
-        z, res = _polish(K, L, z, stats, r)
+        try:
+            if i % 3 == 0:
+                z, r, steps = _gradient_stage(K, L, z, +1.0)
+            elif i % 3 == 1:
+                z, r, steps = _gradient_stage(K, L, z, -1.0)
+            else:
+                r, steps = _residual_vector(K, L, z), 0
+        except DegenerateSectionError:
+            stats["degenerate_rejections"] += 1
+            continue
+        z, res, polish_steps = _polish(K, L, z, r)
+        stats["iterations"] += steps + polish_steps
         if res <= RESIDUAL_TOL:
             candidates.append((_canonical(z), res))
 
@@ -366,13 +362,7 @@ def solve(K, L, config=None):
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
     pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 
-    fs = [p.f_value for p in pairs]
-    stats.update(
-        starts=count,
-        converged=len(candidates),
-        dedup_merges=len(candidates) - len(clusters),
-        f_spread=max(fs) - min(fs) if fs else None,
-    )
+    stats.update(starts=count, converged=len(candidates), dedup_merges=len(candidates) - len(clusters))
     return TheoremReport(dimension=n, pairs=pairs, diagnostics=stats)
 
 
@@ -485,22 +475,23 @@ def _grid_census_3d(K, L, resolution):
     while 12 * 4**subdivisions < resolution and subdivisions < 6:
         subdivisions += 1
     verts, edges = _icosphere(subdivisions)
-    residuals = np.empty(len(verts))
+    vectors = [None] * len(verts)  # residual vector per vertex; None where the section is degenerate
+    residuals = np.full(len(verts), np.inf)
     for i, z in enumerate(verts):
         try:
-            residuals[i] = np.linalg.norm(_residual_vector(K, L, z))
+            vectors[i] = _residual_vector(K, L, z)
         except DegenerateSectionError:
-            residuals[i] = np.inf
+            continue
+        residuals[i] = np.linalg.norm(vectors[i])
     neighbors = [[] for _ in verts]
     for a, b in edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
-    stats = {"iterations": 0, "degenerate_rejections": 0}
     results = []
     for i, z in enumerate(verts):
-        if any(residuals[j] < residuals[i] for j in neighbors[i]):
-            continue  # not a local minimum of the residual
-        zp, res = _polish(K, L, z, stats)
+        if vectors[i] is None or any(residuals[j] < residuals[i] for j in neighbors[i]):
+            continue  # degenerate, or not a local minimum of the residual
+        zp, res, _ = _polish(K, L, z, vectors[i])
         if res <= RESIDUAL_TOL:
             results.append((_canonical(zp), res))
     return results

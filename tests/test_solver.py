@@ -27,6 +27,7 @@ from capsec.solver import (
     _gradient_stage,
     _polish,
     _residual_vector,
+    _start_directions,
     grid_census,
     solve,
 )
@@ -181,12 +182,52 @@ class TestDegenerateGeometry:
         # starts and polish steps near the needle's tip meet sections below
         # the measure floor; the solver must reject them and still certify
         K, L, _ = needle_in_cube
+        refused = []  # start kinds, by i % 3: descent, ascent, polish only
+        for i, z in enumerate(_start_directions(4, 32, 0)):
+            try:
+                _residual_vector(K, L, z)
+            except DegenerateSectionError:
+                refused.append(i % 3)
+        assert sorted(refused) == [0, 1, 1, 2]
         report = solve(K, L, SolverConfig(starts=32, seed=0))
-        assert report.diagnostics["degenerate_rejections"] > 0
+        # each start whose own section is degenerate is refused once; later
+        # trials that meet the floor are retried, not counted
+        assert report.diagnostics["degenerate_rejections"] == len(refused)
         assert report.certified
         for p in report.pairs:
             assert p.residual <= 1e-7
             assert abs(L.gauge(p.centroid) - 1.0) <= 1e-5
+
+    def test_gradient_stage_raises_at_a_degenerate_start(self, needle_in_cube):
+        K, L, d = needle_in_cube
+        for sign in (+1.0, -1.0):
+            with pytest.raises(DegenerateSectionError):
+                _gradient_stage(K, L, d, sign)
+
+    def test_refused_start_is_counted_once_and_never_polished(self, monkeypatch):
+        # the descent and ascent starts' own evaluations are scripted to be
+        # degenerate; only the polish-only start may reach the polish.  L's
+        # axes are turned off the start directions, so no pair is a start.
+        turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        K, L = Ball(1.0, 2), Ellipsoid.from_semiaxes([0.6, 0.3], rotation=turn)
+        starts = _start_directions(2, 3, 0)
+
+        def scripted(K, L, z):
+            if any(np.array_equal(z, s) for s in starts[:2]):
+                raise DegenerateSectionError(z, 0.0)
+            return evaluate(K, L, z)
+
+        polished = []
+
+        def recording(*args):
+            polished.append(args[2])
+            return _polish(*args)
+
+        monkeypatch.setattr(solver_module, "evaluate", scripted)
+        monkeypatch.setattr(solver_module, "_polish", recording)
+        report = solve(K, L, SolverConfig(starts=3, seed=0))
+        assert report.diagnostics["degenerate_rejections"] == 2
+        assert len(polished) == 1 and np.array_equal(polished[0], starts[2])
 
 
 def fd_residual_jacobian(K, L, z, step=1e-6):
@@ -273,12 +314,11 @@ class TestResidualJacobian:
         # unbounded there, so the polish steps the touch point on L's boundary
         K, L = Ball(1.0, 3), LpBall(2.87, 0.5, 3)
         z = np.array(start) / np.linalg.norm(start)
-        stats = {"iterations": 0, "degenerate_rejections": 0}
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf or nan reaches lstsq
-            z_out, res = _polish(K, L, z, stats)
+            z_out, res, steps = _polish(K, L, z, _residual_vector(K, L, z))
         assert res <= RESIDUAL_TOL
-        assert stats["degenerate_rejections"] == 0 and stats["iterations"] <= 10
+        assert steps <= 10
         v = np.round(np.abs(z_out) * np.sqrt(np.count_nonzero(np.abs(z_out) > 0.1)))
         assert np.abs(z_out) == pytest.approx(v / np.linalg.norm(v), abs=1e-8)
 
@@ -398,16 +438,15 @@ class TestMonotonicity:
 
         K = cube(1.0, 2)
         L = Ellipsoid.from_semiaxes([0.7, 0.3])
-        stats = {"iterations": 0, "degenerate_rejections": 0}
         rng = np.random.default_rng(20)
         for _ in range(5):
             z0 = rng.normal(size=2)
             z0 /= np.linalg.norm(z0)
             trace = []
-            _gradient_stage(K, L, z0, +1.0, stats, trace=trace)
+            _gradient_stage(K, L, z0, +1.0, trace=trace)
             assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
             trace = []
-            _gradient_stage(K, L, z0, -1.0, stats, trace=trace)
+            _gradient_stage(K, L, z0, -1.0, trace=trace)
             assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
@@ -427,7 +466,6 @@ class TestMonotonicity:
             return evals[-1]
 
         monkeypatch.setattr(solver_module, "evaluate", recording)
-        stats = {"iterations": 0, "degenerate_rejections": 0}
         rng = np.random.default_rng(21)
         steps = rejected = 0
         for _ in range(4):
@@ -435,7 +473,7 @@ class TestMonotonicity:
             z0 /= np.linalg.norm(z0)
             evals.clear()
             trace = []
-            _gradient_stage(K, L, z0, sign, stats, trace=trace)
+            _gradient_stage(K, L, z0, sign, trace=trace)
             assert all(sign * b <= sign * a + 1e-15 for a, b in zip(trace, trace[1:]))
             remaining = iter(evals)
             accepted = [next(ev for ev in remaining if ev.f_value == f) for f in trace]
@@ -481,25 +519,22 @@ class TestBacktracking:
             return FunctionalEval(z, sign * phi, np.zeros(2), sec, np.array([0.0, -2.0 * sign]), residual)
 
         monkeypatch.setattr(solver_module, "evaluate", scripted)
-        stats = {"iterations": 0, "degenerate_rejections": 0}
-        z, r = _gradient_stage(Ball(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), sign, stats)
+        z, r, steps = _gradient_stage(Ball(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), sign)
         expected = [STEP_INIT] + [s_next for _, s_next in script[:-1]]
         assert trials == pytest.approx(expected, rel=1e-12)
-        assert stats["iterations"] == 1
+        assert steps == 1
         assert z == pytest.approx(np.array([1.0, 0.001]) / np.hypot(1.0, 0.001), rel=1e-15)
         assert np.array_equal(r, np.zeros(2))
 
     @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
     def test_stage_hands_the_polish_its_residual(self, sign):
-        """The residual the stage returns is, bit for bit, the one the polish would compute at its z."""
+        """The residual the stage returns is, bit for bit, the residual at its z, and the polish converges from it."""
         K, L = random_instance("ellipsoid_in_polytope", 3, 106)
-        stats = {"iterations": 0, "degenerate_rejections": 0}
         z0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-        z, r = _gradient_stage(K, L, z0, sign, stats)
-        assert stats["iterations"] > 0
+        z, r, steps = _gradient_stage(K, L, z0, sign)
+        assert steps > 0
         assert np.array_equal(r, _residual_vector(K, L, z))
-        (za, ra), (zb, rb) = _polish(K, L, z, dict(stats), r), _polish(K, L, z, dict(stats))
-        assert np.array_equal(za, zb) and ra == rb
+        assert _polish(K, L, z, r)[1] <= RESIDUAL_TOL
 
 
 def make_pair(dim, i=0, morse_index=None):
