@@ -75,6 +75,11 @@ def _require_nonzero(u):
         raise BodyError("u must be nonzero")
 
 
+def _closed_under_negation(rows, negations):
+    """Whether each row's negation, the same row of ``negations``, is within ``_SYMMETRY_TOL`` of some row."""
+    return all(np.any(np.all(np.abs(rows - r) < _SYMMETRY_TOL, axis=1)) for r in negations)
+
+
 class ConvexBody:
     """Common interface of all body kinds.
 
@@ -396,7 +401,8 @@ class VPolytope(ConvexBody):
         if V.shape[1] < 2:
             raise BodyError("dimension must be >= 2")
         self.dim = V.shape[1]
-        self._check_symmetry(V)
+        if not _closed_under_negation(V, -V):
+            raise BodyError("vertex list is not closed under negation")
         try:
             hull = ConvexHull(V)
         except Exception as exc:
@@ -408,12 +414,6 @@ class VPolytope(ConvexBody):
         # every containment-margin check reads this; an H-polytope's own facets are set by now
         normals, offsets = self.facet_equations
         self._inradius = float(np.min(offsets / np.linalg.norm(normals, axis=1)))
-
-    @staticmethod
-    def _check_symmetry(V):
-        for v in V:
-            if not np.any(np.all(np.abs(V + v) < _SYMMETRY_TOL, axis=1)):
-                raise BodyError("vertex list is not closed under negation")
 
     @classmethod
     def symmetric_hull(cls, points):
@@ -504,20 +504,15 @@ class HPolytope(VPolytope):
             raise BodyError("facet normals must be unit vectors")
         self.normals = N
         self.offsets = b
-        self._check_facet_symmetry()
+        # the negation of the halfspace <n, x> <= b is <-n, x> <= b
+        if not _closed_under_negation(np.hstack([N, b[:, None]]), np.hstack([-N, b[:, None]])):
+            raise BodyError("facet list is not closed under negation")
         try:
             # qhull reports unbounded regions as a degenerate dual hull
             pts = HalfspaceIntersection(np.hstack([N, -b[:, None]]), np.zeros(N.shape[1])).intersections
         except Exception as exc:
             raise BodyError(f"halfspace intersection failed (unbounded?): {_first_line(exc)}") from exc
         super().__init__(pts)
-
-    def _check_facet_symmetry(self):
-        rows = np.hstack([self.normals, self.offsets[:, None]])
-        neg = np.hstack([-self.normals, self.offsets[:, None]])
-        for r in rows:
-            if not np.any(np.all(np.abs(neg - r) < _SYMMETRY_TOL, axis=1)):
-                raise BodyError("facet list is not closed under negation")
 
     def __repr__(self):
         return f"HPolytope(facets={len(self.offsets)}, dim={self.dim})"

@@ -178,50 +178,37 @@ def cmd_census(args):
 
 
 def cmd_fixtures(args):
-    n = args.dimension
+    n, t = args.dimension, args.offset
     if n < 2:
         return _fail("dimension must be >= 2")
-    violations = []
-
-    # fixed-distance sections: K a cube, L a ball of radius t < inradius(K)
     K1 = cube(FIXTURE_CUBE_HALFWIDTH, n)
-    if not (0.0 < args.offset < K1.inradius_lower_bound()):
-        return _fail(
-            f"offset {args.offset} must lie in (0, inradius {K1.inradius_lower_bound():g}) of K"
-        )
-    report1 = solve(K1, Ball(args.offset, n), SolverConfig(seed=args.seed))
-    if not report1.certified:
-        violations.append(f"fixed-distance fixture: only {len(report1.pairs)} pairs, need {n}")
-    for p in report1.pairs:
-        dev = float(np.linalg.norm(p.centroid - args.offset * p.direction))
-        if dev > FIXTURE_TOL:
-            violations.append(
-                f"fixed-distance fixture: centroid deviates from t*direction by {dev:.3g}"
-            )
-    print(
-        f"fixed-distance fixture (cube, ball t={args.offset}): {len(report1.pairs)} pairs, "
-        f"max |centroid - t z| = "
-        f"{max((float(np.linalg.norm(p.centroid - args.offset * p.direction)) for p in report1.pairs), default=0.0):.3g}"
-    )
-
-    # orthogonal tangency: K a ball, L a strictly convex body
+    if not (0.0 < t < K1.inradius_lower_bound()):
+        return _fail(f"offset {t} must lie in (0, inradius {K1.inradius_lower_bound():g}) of K")
     semiaxes = np.linspace(0.6, 0.4, n)
-    report2 = solve(Ball(FIXTURE_BALL_RADIUS, n), Ellipsoid.from_semiaxes(semiaxes), SolverConfig(seed=args.seed))
-    if not report2.certified:
-        violations.append(f"orthogonal-tangency fixture: only {len(report2.pairs)} pairs, need {n}")
-    worst = 0.0
-    for p in report2.pairs:
-        tangential = p.touch_point - (p.touch_point @ p.direction) * p.direction
-        worst = max(worst, float(np.linalg.norm(tangential)))
-        if np.linalg.norm(tangential) > FIXTURE_TOL:
-            violations.append(
-                f"orthogonal-tangency fixture: touch point not parallel to direction "
-                f"(deviation {np.linalg.norm(tangential):.3g})"
-            )
-    print(
-        f"orthogonal-tangency fixture (ball, ellipsoid {semiaxes}): "
-        f"{len(report2.pairs)} pairs, max tangential deviation {worst:.3g}"
-    )
+    # name, setting, (K, L), a pair's deviation from the analytic answer, and the
+    # wording of the summary's worst deviation and of a violation
+    fixtures = [
+        ("fixed-distance", f"cube, ball t={t}",
+         (K1, Ball(t, n)),
+         lambda p: p.centroid - t * p.direction,
+         "max |centroid - t z| = {:.3g}", "centroid deviates from t*direction by {:.3g}"),
+        ("orthogonal-tangency", f"ball, ellipsoid {semiaxes}",
+         (Ball(FIXTURE_BALL_RADIUS, n), Ellipsoid.from_semiaxes(semiaxes)),
+         lambda p: p.touch_point - (p.touch_point @ p.direction) * p.direction,
+         "max tangential deviation {:.3g}", "touch point not parallel to direction (deviation {:.3g})"),
+    ]
+    violations = []
+    try:
+        for name, setting, (K, L), deviation, summary, violation in fixtures:
+            report = solve(K, L, SolverConfig(seed=args.seed))
+            if not report.certified:
+                violations.append(f"{name} fixture: only {len(report.pairs)} pairs, need {n}")
+            devs = [float(np.linalg.norm(deviation(p))) for p in report.pairs]
+            violations += [f"{name} fixture: " + violation.format(d) for d in devs if d > FIXTURE_TOL]
+            worst = summary.format(max(devs, default=0.0))
+            print(f"{name} fixture ({setting}): {len(report.pairs)} pairs, {worst}")
+    except RejectedInstanceError as exc:  # inside the containment margin
+        return _fail(str(exc))
 
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)

@@ -66,10 +66,7 @@ def report_to_dict(K, L, report, seed):
         "budget_exhausted": not report.certified,
         "degenerate_continuum": bool(report.degenerate_continuum),
         "continuum_justification": report.continuum_justification,
-        "diagnostics": {
-            key: int(report.diagnostics[key])
-            for key in ("starts", "converged", "dedup_merges", "iterations", "degenerate_rejections")
-        },
+        "diagnostics": {key: int(value) for key, value in report.diagnostics.items()},
     }
 
 

@@ -86,7 +86,7 @@ class Hyperplane:
 
 @dataclass
 class SectionData:
-    """Measure, centroid and first moment of a hyperplane section."""
+    """Measure and centroid of a hyperplane section."""
 
     measure: float
     centroid: np.ndarray | None
@@ -96,13 +96,6 @@ class SectionData:
     @property
     def degenerate(self):
         return self.centroid is None
-
-    @property
-    def moment(self):
-        """First moment ``measure * centroid``; None for a degenerate section."""
-        if self.centroid is None:
-            return None
-        return self.measure * self.centroid
 
 
 def hyperplane_chart(direction):
@@ -352,7 +345,7 @@ def cap_volume(K, H, *, support=None):
 
 
 def section(K, H, *, support=None):
-    """Measure, centroid and moment of ``K ∩ H``.
+    """Measure and centroid of ``K ∩ H``.
 
     Exact for polytopes in every dimension, closed form for balls and
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
@@ -422,26 +415,29 @@ def _ellipsoid_section(K, x, t, h):
     return SectionData(measure, center, SectionMethod.ANALYTIC)
 
 
-def _mc_rng(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def _mc_box_samples(K, H, samples, seed):
+    """K's bounding-box volume and uniform samples of the box, in chunks of at most 2^19 points.
 
-
-def mc_cap_volume(K, H, samples=MC_DEFAULT_SAMPLES, seed=MC_DEFAULT_SEED):
-    """Rejection-sampled cap volume over K's bounding box: (estimate, stderr)."""
+    Checks the plane and the 10^3 sample floor first; the samples are drawn
+    from a Philox generator keyed by ``seed``.
+    """
     _check_plane(K, H)
     if samples < 10**3:
         raise BodyError("at least 10^3 samples required")
     hw = K.bounding_halfwidths()
-    box_vol = float(np.prod(2.0 * hw))
-    rng = _mc_rng(seed)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    total = int(samples)
+    sizes = [min(1 << 19, total - k) for k in range(0, total, 1 << 19)]
+    return float(np.prod(2.0 * hw)), (rng.uniform(-1.0, 1.0, size=(m, K.dim)) * hw for m in sizes)
+
+
+def mc_cap_volume(K, H, samples=MC_DEFAULT_SAMPLES, seed=MC_DEFAULT_SEED):
+    """Rejection-sampled cap volume over K's bounding box: (estimate, stderr)."""
+    box_vol, chunks = _mc_box_samples(K, H, samples, seed)
     hits = 0
-    remaining = int(samples)
-    while remaining > 0:
-        m = min(remaining, 1 << 19)
-        pts = rng.uniform(-1.0, 1.0, size=(m, K.dim)) * hw
+    for pts in chunks:
         inside = K.contains_points(pts) & (pts @ H.direction >= H.offset)
         hits += int(np.count_nonzero(inside))
-        remaining -= m
     p = hits / samples
     return box_vol * p, box_vol * float(np.sqrt(p * (1.0 - p) / samples))
 
@@ -452,25 +448,16 @@ def mc_section(K, H, samples=MC_DEFAULT_SAMPLES, thickness=None, seed=MC_DEFAULT
     Estimates ``vol(K ∩ {|<x,y> - t| <= thickness/2}) / thickness`` and the
     conditional mean point (re-projected onto H).  Bias is O(thickness^2).
     """
-    _check_plane(K, H)
-    if samples < 10**3:
-        raise BodyError("at least 10^3 samples required")
+    box_vol, chunks = _mc_box_samples(K, H, samples, seed)
     if thickness is None:
         thickness = 1e-3 * K.diameter()
-    hw = K.bounding_halfwidths()
-    box_vol = float(np.prod(2.0 * hw))
-    rng = _mc_rng(seed)
     hits = 0
     point_sum = np.zeros(K.dim)
-    remaining = int(samples)
-    while remaining > 0:
-        m = min(remaining, 1 << 19)
-        pts = rng.uniform(-1.0, 1.0, size=(m, K.dim)) * hw
+    for pts in chunks:
         in_slab = np.abs(pts @ H.direction - H.offset) <= 0.5 * thickness
         sel = in_slab & K.contains_points(pts)
         hits += int(np.count_nonzero(sel))
         point_sum += pts[sel].sum(axis=0)
-        remaining -= m
     if hits == 0:
         return SectionData(0.0, None, SectionMethod.MONTE_CARLO, stderr=0.0)
     p = hits / samples

@@ -196,10 +196,10 @@ def _gradient_stage(K, L, z, sign, trace=None):
     for _ in range(GRADIENT_MAX_ITERS):
         if ev.residual < POLISH_TRIGGER:
             break
+        # |g| > 0: the centroid and the touch point lie on the supporting plane, so the
+        # residual, at least POLISH_TRIGGER here, is tangential, and |g| is the measure times it
         g = sign * ev.tangential_gradient
         gn = np.linalg.norm(g)
-        if gn == 0.0:
-            break
         d = -g / gn
         phi0 = sign * ev.f_value
         accepted = False
@@ -323,7 +323,7 @@ def solve(K, L, config=None):
     n = K.dim
     count = cfg.resolved_starts(n)
     starts = _start_directions(n, count, cfg.seed)
-    stats = {"iterations": 0, "degenerate_rejections": 0}
+    iterations = rejections = 0
 
     # starts cycle through descent, ascent and polish only; a start whose own
     # section is degenerate is refused, once, and not polished
@@ -337,10 +337,10 @@ def solve(K, L, config=None):
             else:
                 r, steps = _residual_vector(K, L, z), 0
         except DegenerateSectionError:
-            stats["degenerate_rejections"] += 1
+            rejections += 1
             continue
         z, res, polish_steps = _polish(K, L, z, r)
-        stats["iterations"] += steps + polish_steps
+        iterations += steps + polish_steps
         if res <= RESIDUAL_TOL:
             candidates.append((_canonical(z), res))
 
@@ -362,8 +362,15 @@ def solve(K, L, config=None):
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
     pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 
-    stats.update(starts=count, converged=len(candidates), dedup_merges=len(candidates) - len(clusters))
-    return TheoremReport(dimension=n, pairs=pairs, diagnostics=stats)
+    # in the order report.json lists them
+    diagnostics = {
+        "starts": count,
+        "converged": len(candidates),
+        "dedup_merges": len(candidates) - len(clusters),
+        "iterations": iterations,
+        "degenerate_rejections": rejections,
+    }
+    return TheoremReport(dimension=n, pairs=pairs, diagnostics=diagnostics)
 
 
 # --- exhaustive low-dimensional oracle --------------------------------------

@@ -386,6 +386,13 @@ class TestFixtures:
         assert main(["fixtures", "--dimension", "2", "--offset", "1.5"]) == 1
         assert "inradius" in capsys.readouterr().err
 
+    def test_offset_inside_the_containment_margin(self, capsys):
+        # below the inradius, but the ball comes closer to the cube than the margin allows
+        assert main(["fixtures", "--dimension", "2", "--offset", "0.9999995"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: containment margin violated: need L + margin <= K\n"
+
 
 class TestReporting:
     def test_schema_rejects_extra_fields(self):

@@ -210,7 +210,6 @@ class TestSection:
                 x = unit(rng.normal(size=3))
                 t = 0.4 * K.support(x)
                 sec = section(K, Hyperplane(x, t))
-                assert sec.moment == pytest.approx(sec.measure * sec.centroid, rel=1e-9)
                 assert sec.centroid @ x == pytest.approx(t, abs=1e-9)
 
     def test_exact_mirror_symmetry(self):
@@ -589,20 +588,34 @@ class TestDerivativeIdentities:
                         cap_volume(K, Hyperplane(unit(x + h * w), t))
                         - cap_volume(K, Hyperplane(unit(x - h * w), t))
                     ) / (2 * h)
-                    expected = float(sec.moment @ w)
+                    expected = float(sec.measure * sec.centroid @ w)
                     assert dv == pytest.approx(expected, rel=1e-4, abs=1e-8)
 
 
 class TestMonteCarlo:
+    @staticmethod
+    def estimates(oracle, K, H, samples, seed):
+        """Every number an oracle returns, as one tuple."""
+        out = oracle(K, H, samples=samples, seed=seed)
+        if oracle is mc_cap_volume:
+            return out
+        return (out.measure, out.stderr, *out.centroid)
+
     def test_sample_floor(self):
-        with pytest.raises(BodyError):
-            mc_cap_volume(Ball(1.0, 2), Hyperplane(np.array([1.0, 0.0]), 0.0), samples=10)
+        H = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        for oracle in (mc_cap_volume, mc_section):
+            with pytest.raises(BodyError, match="10\\^3 samples"):
+                oracle(Ball(1.0, 2), H, samples=999)
+            oracle(Ball(1.0, 2), H, samples=10**3)
 
     def test_determinism(self):
+        # 2^19 + 1 samples take a second chunk of one point
         H = Hyperplane(unit([1.0, 2.0]), 0.2)
-        a = mc_cap_volume(Ball(1.0, 2), H, samples=10**5, seed=3)
-        b = mc_cap_volume(Ball(1.0, 2), H, samples=10**5, seed=3)
-        assert a == b
+        for oracle in (mc_cap_volume, mc_section):
+            for samples in (10**5, (1 << 19) + 1):
+                a = self.estimates(oracle, Ball(1.0, 2), H, samples, seed=3)
+                assert a == self.estimates(oracle, Ball(1.0, 2), H, samples, seed=3)
+                assert a != self.estimates(oracle, Ball(1.0, 2), H, samples, seed=4)
 
     def test_mc_section_cube(self):
         H = Hyperplane(np.array([1.0, 0.0, 0.0]), 0.5)

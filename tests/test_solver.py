@@ -99,25 +99,30 @@ class TestEllipsoidInBall:
             assert nz[0] > 0
 
 
+def _census_cases():
+    """The 60 acceptance-census instances; n = 3 seed 110 misses a saddle."""
+    missed = pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the starts miss the index-1 saddle; indices 0, 0, 1, 2 sum to 2",
+    )
+    return [
+        pytest.param(dim, seed, marks=missed if (dim, seed) == (3, 110) else ())
+        for dim in (2, 3, 4)
+        for seed in range(100, 120)
+    ]
+
+
 class TestMorseIndex:
-    """Pair kinds come from the index of the residual Jacobian.  These census
+    """Pair kinds come from the index of the residual Jacobian.  Some census
     draws have saddles whose Hessian diagonal in the tangent chart has one
-    sign, so axis probes alone would call them minima or maxima."""
+    sign, so axis probes alone would call them minima or maxima; at n = 4
+    index 1 and 2 are both saddles, so the sum needs the index itself."""
 
-    @pytest.mark.parametrize("seed", [101, 112, 118])
-    def test_census_pairs_satisfy_euler_characteristic(self, census_report, seed):
-        _, _, report = census_report(3, seed)
-        kinds = [p.kind for p in report.pairs]
-        assert {"min", "saddle", "max"} <= set(kinds)
-        # index 0 and 2 count +1, index 1 counts -1: chi(RP^2) = 1
-        assert kinds.count("min") - kinds.count("saddle") + kinds.count("max") == 1
-
-    def test_index_sum_in_four_dimensions(self, census_report):
-        # index 1 and 2 are both saddles here, so the sum needs the index itself
-        _, _, report = census_report(4, 100)
-        indices = [p.morse_index for p in report.pairs]
-        assert None not in indices
-        assert sum((-1) ** k for k in indices) == 0  # chi(RP^3)
+    @pytest.mark.parametrize("dim, seed", _census_cases())
+    def test_census_pairs_satisfy_euler_characteristic(self, census_report, dim, seed):
+        _, _, report = census_report(dim, seed)
+        assert set(range(dim)) <= {p.morse_index for p in report.pairs}
+        assert report.euler_sum == dim % 2  # chi(RP^{n-1})
 
 
 class TestDedup:
