@@ -2,15 +2,19 @@
 
     python -m pytest bench/layers.py --benchmark-json=BENCH_layers.json
 
-times ``touch_point`` for a ball, ellipsoid and lp-ball L, and, on one fixed
-instance per outer-body kind, K's and L's ``support`` at one fixed direction
-and K's on a stack of 64 directions, ``cap_volume`` and ``section`` on L's
-supporting plane, ``evaluate`` and the polish's chart and residual Jacobian
-(``_newton_chart``) at that direction, and the solver stages from it: the
-descent ``_gradient_stage``, the ``_polish`` from where the descent ends, and
-``_classify`` at the pair the polish reaches.  The inner body is a seeded
-random ellipsoid fitted inside K; one more chart case fits an lp-ball with
-p = 3 in a ball, so the boundary chart at L's flat points is timed too.
+times ``touch_point`` for a ball, ellipsoid and lp-ball L, at one direction
+and on a stack of 64n directions, and, on one fixed instance per outer-body
+kind, K's and L's ``support`` at one fixed direction and K's on a stack of
+64 directions, ``cap_volume`` and ``section`` on L's supporting plane and on
+the stack of L's supporting planes along ``solve``'s 64n start directions,
+``evaluate`` and the polish's chart and residual Jacobian (``_newton_chart``)
+at that direction, ``hyperplane_chart`` on the 64n start directions, and the
+solver stages as ``solve`` runs them: the lockstep ``_gradient_stage`` of
+the 64n starts (descent, ascent and none, in turn), the lockstep ``_polish``
+of every start from where that stage ends, and ``_classify`` at the pair a
+descent reaches.  The inner body is a seeded random ellipsoid fitted inside
+K; one more chart case fits an lp-ball with p = 3 in a ball, so the boundary
+chart at L's flat points is timed too.
 """
 
 import numpy as np
@@ -19,8 +23,17 @@ import pytest
 from capsec.bodies import Ball, LpBall, VPolytope, cube
 from capsec.families import fit_inside, random_ellipsoid
 from capsec.functional import _supporting_plane, evaluate
-from capsec.sections import cap_volume, section
-from capsec.solver import POLISH_TRIGGER, RESIDUAL_TOL, _classify, _gradient_stage, _newton_chart, _polish
+from capsec.sections import cap_volume, hyperplane_chart, section
+from capsec.solver import (
+    POLISH_TRIGGER,
+    RESIDUAL_TOL,
+    _chart_move,
+    _classify,
+    _gradient_stage,
+    _newton_chart,
+    _polish,
+    _start_directions,
+)
 
 KINDS = ("ball", "ellipsoid", "hpolytope", "vpolytope")
 INNER_KINDS = ("ball", "ellipsoid", "lpball")
@@ -62,6 +75,12 @@ def inner_body(kind, dim):
     return L, _direction(rng, dim)
 
 
+def starts(dim):
+    """``solve``'s 64n start directions at seed 0 and their roles: descent, ascent and none, in turn."""
+    z = _start_directions(dim, 64 * dim, 0)
+    return z, np.array([1.0, -1.0, 0.0])[np.arange(len(z)) % 3]
+
+
 CASES = [pytest.param(kind, dim, id=f"{kind}-n{dim}") for kind in KINDS for dim in DIMS]
 INNER_CASES = [pytest.param(kind, dim, id=f"{kind}-n{dim}") for kind in INNER_KINDS for dim in DIMS]
 
@@ -70,6 +89,13 @@ INNER_CASES = [pytest.param(kind, dim, id=f"{kind}-n{dim}") for kind in INNER_KI
 def test_touch_point(benchmark, kind, dim):
     L, z = inner_body(kind, dim)
     assert benchmark(L.touch_point, z) @ z == pytest.approx(L.support(z))
+
+
+@pytest.mark.parametrize("kind, dim", INNER_CASES)
+def test_touch_point_stack(benchmark, kind, dim):
+    L, _ = inner_body(kind, dim)
+    z, _ = starts(dim)
+    assert np.einsum("ij,ij->i", benchmark(L.touch_point, z), z) == pytest.approx(L.support(z))
 
 
 @pytest.mark.parametrize("body", ["K", "L"])
@@ -104,6 +130,28 @@ def test_section(benchmark, kind, dim):
 
 
 @pytest.mark.parametrize("kind, dim", CASES)
+def test_cap_volume_stack(benchmark, kind, dim):
+    K, L, _ = instance(kind, dim)
+    H, _ = _supporting_plane(K, L, starts(dim)[0])
+    v = benchmark(cap_volume, K, H)
+    assert np.all((0.0 < v) & (v < K.volume()))
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_section_stack(benchmark, kind, dim):
+    K, L, _ = instance(kind, dim)
+    H, _ = _supporting_plane(K, L, starts(dim)[0])
+    assert not benchmark(section, K, H).degenerate
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_hyperplane_chart_stack(benchmark, dim):
+    z, _ = starts(dim)
+    Q = benchmark(hyperplane_chart, z)
+    assert np.abs(np.einsum("mij,mi->mj", Q, z)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
 def test_evaluate(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
     assert np.isfinite(benchmark(evaluate, K, L, z).f_value)
@@ -118,24 +166,27 @@ def test_newton_chart(benchmark, kind, dim):
 
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_gradient_stage(benchmark, kind, dim):
-    K, L, z = instance(kind, dim)
-    _, r, _ = benchmark(_gradient_stage, K, L, z, +1.0)
-    assert np.linalg.norm(r) < POLISH_TRIGGER
+    K, L, _ = instance(kind, dim)
+    z, signs = starts(dim)
+    _, r, _, refused = benchmark(_gradient_stage, K, L, z, signs)
+    assert not refused.any()
+    assert np.linalg.norm(r[signs != 0.0], axis=1).max() < POLISH_TRIGGER
 
 
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_polish(benchmark, kind, dim):
-    K, L, z = instance(kind, dim)
-    z, r, _ = _gradient_stage(K, L, z, +1.0)
+    K, L, _ = instance(kind, dim)
+    z, signs = starts(dim)
+    z, r, _, _ = _gradient_stage(K, L, z, signs)
     _, res, _ = benchmark(_polish, K, L, z, r)
-    assert res <= RESIDUAL_TOL
+    assert res[signs != 0.0].max() <= RESIDUAL_TOL  # every start that took the gradient stage converges
 
 
 @pytest.mark.parametrize("kind, dim", CASES)
 def test_classify(benchmark, kind, dim):
     K, L, z = instance(kind, dim)
-    z, r, _ = _gradient_stage(K, L, z, +1.0)
-    z, res, _ = _polish(K, L, z, r)
+    z, r, _, _ = _gradient_stage(K, L, z[None], +1.0)
+    (z,), (res,), _ = _polish(K, L, z, r)
     assert res <= RESIDUAL_TOL
     assert benchmark(_classify, K, L, z) == 0  # the descent ends at a minimum
 
@@ -145,6 +196,6 @@ def test_newton_chart_flat_points(benchmark):
     K = Ball(1.0, 3)
     L = fit_inside(K, LpBall(3.0, 1.0, 3))
     z = np.array([0.0, 0.6, 0.8])
-    Q, J, move = benchmark(_newton_chart, K, L, z)
+    Q, J, base = benchmark(_newton_chart, K, L, z)
     assert J.shape == (3, 2) and np.isfinite(J).all()
-    assert move(np.zeros(3)) == pytest.approx(z, abs=1e-15)
+    assert _chart_move(L, base, np.zeros(3)) == pytest.approx(z, abs=1e-15)

@@ -6,6 +6,11 @@ V-polytopes (vertex lists).  An H-polytope enumerates its vertices once at
 construction and is a V-polytope that keeps its own facets.  All bodies are
 centrally symmetric; the polytope constructors enforce this structurally by
 requiring normals / vertices to be closed under negation.
+
+``support``, ``touch_point``, ``touch_point_jacobian``, ``normal`` and
+``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
+and a stack gives one result per row.  One vector is the m = 1 case of the
+same array code.
 """
 
 from __future__ import annotations
@@ -71,8 +76,23 @@ def _first_line(exc):
 
 
 def _require_nonzero(u):
-    if not u.any():
+    if not u.any(axis=-1).all():
         raise BodyError("u must be nonzero")
+
+
+def _outer(a, b):
+    """a b^T for vectors, or row by row for stacks."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _dot(a, b):
+    """a . b for vectors, or row by row for stacks, each rounded as one vector's ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _apply(M, u):
+    """M u for a vector, or for each row of a stack, each rounded as one vector's ``M @ u``."""
+    return np.matmul(M, u[..., None])[..., 0]
 
 
 def _closed_under_negation(rows, negations):
@@ -86,7 +106,9 @@ class ConvexBody:
     Subclasses provide ``support``, ``gauge``, ``contains_points``, ``volume``
     and, when strictly convex, ``touch_point`` and ``touch_point_jacobian``.
     ``support`` takes one direction (n,) and returns a float, or a stack of
-    directions (m, n) and returns their m values.
+    directions (m, n) and returns their m values.  The touch point, the normal
+    map and their derivatives take the same stacks, and return (m, n) points
+    and (m, n, n) derivatives.
     """
 
     dim: int
@@ -168,16 +190,16 @@ class Ball(ConvexBody):
         return self.radius * float(np.linalg.norm(u))
 
     def touch_point(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
-        return self.radius * u / np.linalg.norm(u)
+        return self.radius * u / np.linalg.norm(u, axis=-1, keepdims=True)
 
     def touch_point_jacobian(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
-        nrm = np.linalg.norm(u)
+        nrm = np.linalg.norm(u, axis=-1, keepdims=True)
         x = u / nrm
-        return self.radius * (np.eye(self.dim) - np.outer(x, x)) / nrm
+        return self.radius * (np.eye(self.dim) - _outer(x, x)) / nrm[..., None]
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -243,24 +265,24 @@ class Ellipsoid(ConvexBody):
         return self._eigvecs @ np.diag(1.0 / self._eigvals) @ self._eigvecs.T
 
     def support(self, u):
+        # each row rounded as one direction's, so a section's support and centroid keep their bits
         u = _as_directions(u, self.dim)
-        if u.ndim == 2:
-            return np.sqrt(np.einsum("ij,jk,ik->i", u, self.inverse_shape, u))
-        return float(np.sqrt(u @ self.inverse_shape @ u))
+        h = np.sqrt(_dot(u, _apply(self.inverse_shape, u)))
+        return h if u.ndim == 2 else float(h)
 
     def touch_point(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
-        w = self.inverse_shape @ u
-        return w / np.sqrt(u @ w)
+        w = _apply(self.inverse_shape, u)
+        return w / np.sqrt(_dot(u, w))[..., None]
 
     def touch_point_jacobian(self, u):
         # h = sqrt(u^T P u) with P = A^{-1}; the touch point is P u / h
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
-        w = self.inverse_shape @ u
-        h = np.sqrt(u @ w)
-        return (self.inverse_shape - np.outer(w, w) / (h * h)) / h
+        w = _apply(self.inverse_shape, u)
+        h = np.sqrt(_dot(u, w))[..., None, None]
+        return (self.inverse_shape - _outer(w, w) / (h * h)) / h
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -283,8 +305,11 @@ class Ellipsoid(ConvexBody):
 
 
 def _norm_gradient(v, r):
-    """||v||_r, a = |v / ||v||_r| and the r-norm's gradient sign(v) a^(r-1) at v."""
-    nr = np.linalg.norm(v, ord=r)
+    """||v||_r, a = |v / ||v||_r| and the r-norm's gradient sign(v) a^(r-1) at v, row by row for a stack.
+
+    The norm keeps its last axis, (1,) or (m, 1).
+    """
+    nr = np.linalg.norm(v, ord=r, axis=-1, keepdims=True)
     a = np.abs(v / nr)
     return nr, a, np.sign(v) * a ** (r - 1.0)
 
@@ -326,7 +351,7 @@ class LpBall(ConvexBody):
         return self.scale * float(np.linalg.norm(u, ord=self.q))
 
     def touch_point(self, u):
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
         _, _, y = _norm_gradient(u, self.q)
         return self.scale * y
@@ -338,19 +363,20 @@ class LpBall(ConvexBody):
         term is unbounded at a zero coordinate, where the boundary of L has
         zero curvature: that entry is +inf.
         """
-        u = _as_vector(u, self.dim)
+        u = _as_directions(u, self.dim)
         _require_nonzero(u)
         nq, a, y = _norm_gradient(u, self.q)
+        diag = np.zeros(u.shape + (self.dim,))
         with np.errstate(divide="ignore"):
-            curvature = a ** (self.q - 2.0)
-        return (self.q - 1.0) * self.scale / nq * (np.diag(curvature) - np.outer(y, y))
+            diag[..., range(self.dim), range(self.dim)] = a ** (self.q - 2.0)
+        return (self.q - 1.0) * self.scale / nq[..., None] * (diag - _outer(y, y))
 
     def normal(self, y):
         # the gradient of the gauge ||y||_p / s, normalized
-        y = _as_vector(y, self.dim, "y")
+        y = _as_directions(y, self.dim)
         _require_nonzero(y)
         _, _, w = _norm_gradient(y, self.p)
-        return w / np.linalg.norm(w)
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
     def normal_jacobian(self, y):
         """(p - 1) / (||y||_p |w|) * (I - z z^T) diag |y / ||y||_p|^(p-2).
@@ -359,12 +385,13 @@ class LpBall(ConvexBody):
         z = w / |w| the normal.  For p > 2 it is bounded, and zero along a
         zero coordinate of y.
         """
-        y = _as_vector(y, self.dim, "y")
+        y = _as_directions(y, self.dim)
         _require_nonzero(y)
         npy, a, w = _norm_gradient(y, self.p)
-        nw = np.linalg.norm(w)
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
         z = w / nw
-        return (self.p - 1.0) / (npy * nw) * ((np.eye(self.dim) - np.outer(z, z)) * a ** (self.p - 2.0))
+        scale = (self.p - 1.0) / (npy * nw)
+        return scale[..., None] * ((np.eye(self.dim) - _outer(z, z)) * a[..., None, :] ** (self.p - 2.0))
 
     def gauge(self, y):
         y = _as_vector(y, self.dim, "y")
@@ -533,25 +560,35 @@ def cube(halfwidth, dim):
 
 
 def sphere_net(dim, size=None):
-    """Deterministic low-discrepancy net of unit directions.
+    """Deterministic low-discrepancy net of unit directions, read-only.
 
     n=2 uses a uniform angle grid; higher dimensions map an unscrambled Sobol
-    sequence through the normal quantile and normalize.
+    sequence through the normal quantile and normalize.  The Sobol point
+    (1/2, ..., 1/2) maps to the zero vector and is dropped, so for n >= 3 the
+    net has ``size - 1`` rows.  Each net is built once per (dim, size).
     """
     if size is None:
         size = 4096 if dim <= 4 else 4096 * 2 ** (dim - 4)
+    return _sphere_net(dim, size)
+
+
+@cache
+def _sphere_net(dim, size):
     if dim == 2:
         theta = np.arange(size) * (2.0 * np.pi / size)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+        net = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        from scipy.special import ndtri
+        from scipy.stats import qmc
 
-    sob = qmc.Sobol(d=dim, scramble=False)
-    sob.fast_forward(1)  # skip the all-zeros point
-    g = ndtri(sob.random(size))
-    norms = np.linalg.norm(g, axis=1)
-    keep = norms > 1e-12
-    return g[keep] / norms[keep, None]
+        sob = qmc.Sobol(d=dim, scramble=False)
+        sob.fast_forward(1)  # skip the all-zeros point
+        g = ndtri(sob.random(size))
+        norms = np.linalg.norm(g, axis=1)
+        keep = norms > 1e-12
+        net = g[keep] / norms[keep, None]
+    net.setflags(write=False)  # shared by every caller through the cache
+    return net
 
 
 def contains_body(outer, inner, margin=0.0):

@@ -5,6 +5,10 @@ unit direction z is the volume of K beyond the supporting hyperplane of L with
 normal z.  Its Riemannian gradient on the sphere is
 ``measure * P_{z_perp}[centroid - touch_point]``, so criticality is exactly
 "the section centroid is the touching point of L".
+
+``evaluate`` takes one direction or an (m, n) stack of them, and a stack is
+evaluated in one array call per layer: one support, section, touch-point
+and cap-volume call for all m rows.
 """
 
 from __future__ import annotations
@@ -73,7 +77,12 @@ def validate_instance(K, L):
 
 @dataclass
 class FunctionalEval:
-    """Objective value, section data and tangential gradient at one direction."""
+    """Objective value, section data and tangential gradient at one direction, or at each row of a stack.
+
+    For a stack every field holds one value or row per direction, and a row
+    whose section is refused (degenerate, or at or below ``measure_floor``)
+    holds NaN in its objective, centroid, gradient and residual.
+    """
 
     direction: np.ndarray
     f_value: float
@@ -85,32 +94,43 @@ class FunctionalEval:
 
 def _unit(z):
     z = np.asarray(z, dtype=float)
-    nrm = np.linalg.norm(z)
-    if nrm == 0:
+    nrm = np.sqrt((z * z).sum(axis=-1, keepdims=True))
+    if not (nrm > 0).all():
         raise BodyError("direction must be nonzero")
     return z / nrm
 
 
 def _supporting_plane(K, L, z):
-    """L's supporting hyperplane with unit normal z, and h_K(z).
+    """L's supporting hyperplane with unit normal z, and h_K(z); for a stack of directions, one per row.
 
-    Refused if K's support gap there is below the margin.  The slicing takes
-    h_K(z) from here, so it is computed once per direction.
+    Refused if K's support gap there is below the margin, along any row.
+    The slicing takes h_K(z) from here, so it is computed once per direction.
     """
     t = L.support(z)
     h = K.support(z)
     gap, m = h - t, default_margin(K)
-    if gap < m:
+    if np.any(gap < m):
+        i = int(np.argmin(gap))
         raise RejectedInstanceError(
-            f"containment margin violated along direction {z}: support gap {gap:g} < {m:g}"
+            f"containment margin violated along direction {np.atleast_2d(z)[i]}: "
+            f"support gap {np.atleast_1d(gap)[i]:g} < {m:g}"
         )
     return Hyperplane(z, t), h
 
 
 def _require_measure(K, z, sec):
-    """Refuse a degenerate section, or one at or below ``measure_floor(K)``."""
-    if sec.degenerate or sec.measure <= measure_floor(K):
-        raise DegenerateSectionError(z, sec.measure)
+    """Refuse a degenerate section, or one at or below ``measure_floor(K)``.
+
+    One direction raises ``DegenerateSectionError``.  For a stack, the refused
+    rows' centroids are set to NaN, and their mask is returned.
+    """
+    refused = ~(np.asarray(sec.measure) > measure_floor(K))
+    if np.ndim(z) == 1:
+        if refused:
+            raise DegenerateSectionError(z, sec.measure)
+    else:
+        sec.centroid[refused] = np.nan
+    return refused
 
 
 def _touch_and_section(K, L, z):
@@ -122,14 +142,22 @@ def _touch_and_section(K, L, z):
 
 
 def evaluate(K, L, z):
-    """Objective, section, tangential gradient and residual |centroid - touch point| at unit direction z."""
+    """Objective, section, tangential gradient and residual |centroid - touch point| at unit direction z.
+
+    z may be an (m, n) stack, evaluated in one array call per layer; a row
+    whose section is refused holds NaN where one direction raises
+    ``DegenerateSectionError``.
+    """
     z = _unit(z)
     plane, h, touch, sec = _touch_and_section(K, L, z)
     diff = sec.centroid - touch
-    residual = float(np.linalg.norm(diff))
-    grad = sec.measure * (diff - (diff @ z) * z)
+    residual = np.sqrt((diff * diff).sum(axis=-1))
+    radial = np.sum(diff * z, axis=-1, keepdims=True)
+    grad = np.asarray(sec.measure)[..., None] * (diff - radial * z)
     f = cap_volume(K, plane, support=h)
-    return FunctionalEval(z, f, touch, sec, grad, residual)
+    if z.ndim == 1:
+        return FunctionalEval(z, f, touch, sec, grad, float(residual))
+    return FunctionalEval(z, np.where(np.isnan(residual), np.nan, f), touch, sec, grad, residual)
 
 
 def fd_tangential_gradient(K, L, z):

@@ -14,6 +14,13 @@ for polytopes the derivative of the same cone sums.  Other bodies
 (lp-balls) are refused: the Monte Carlo oracles ``mc_section`` and
 ``mc_cap_volume`` are called explicitly, for estimates and for
 cross-validation of the exact paths.
+
+A ``Hyperplane`` may hold a stack of m planes, and ``section``,
+``section_partials``, ``cap_volume`` and ``hyperplane_chart`` then give one
+result per plane from one array call: the closed forms row by row, and the
+polytope cone sums stacked over every plane's cones.  Only the polytope cap
+volume loops, one qhull hull per plane.  One plane is the m = 1 case of the
+same array code.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from .bodies import (
     Ellipsoid,
     UnsupportedRepresentation,
     VPolytope,
+    _apply,
+    _dot,
     unit_ball_volume,
 )
 
@@ -65,71 +74,96 @@ class SectionMethod(Enum):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Hyperplane ``{y : <direction, y> = offset}`` with unit direction."""
+    """Hyperplane ``{y : <direction, y> = offset}`` with unit direction.
+
+    A stack of m planes has an (m, n) direction array and m offsets.
+    """
 
     direction: np.ndarray
-    offset: float
+    offset: float | np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if d.ndim != 1 or d.shape[0] < 2:
-            raise BodyError("hyperplane direction must be a vector in R^n, n >= 2")
-        if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
+        if d.ndim not in (1, 2) or d.shape[-1] < 2:
+            raise BodyError("hyperplane direction must be a vector in R^n, n >= 2, or a stack of them")
+        if (np.abs(np.sqrt((d * d).sum(axis=-1)) - 1.0) > _UNIT_TOL).any():
             raise BodyError("hyperplane direction must be a unit vector (|1 - |d|| <= 1e-12)")
+        t = np.asarray(self.offset, dtype=float)
+        if t.shape != d.shape[:-1]:
+            raise BodyError(f"offset has shape {t.shape}, expected one per direction {d.shape[:-1]}")
         object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", float(t) if d.ndim == 1 else t)
 
     @property
     def dim(self):
-        return self.direction.shape[0]
+        return self.direction.shape[-1]
 
 
 @dataclass
 class SectionData:
-    """Measure and centroid of a hyperplane section."""
+    """Measure and centroid of a hyperplane section, or of a stack of sections.
 
-    measure: float
+    For a stack, ``measure`` holds m values and ``centroid`` is (m, n), with
+    NaN rows where a section is degenerate.
+    """
+
+    measure: float | np.ndarray
     centroid: np.ndarray | None
     method: SectionMethod
     stderr: float | None = None
 
     @property
     def degenerate(self):
-        return self.centroid is None
+        """Whether the section is degenerate; for a stack, whether any of its sections is."""
+        return self.centroid is None or bool(np.isnan(self.centroid).any())
+
+
+def _planes(H):
+    """(directions (m, n), offsets (m,), whether H is one plane)."""
+    single = H.direction.ndim == 1
+    return np.atleast_2d(H.direction), np.atleast_1d(H.offset), single
+
+
+def _section_data(measure, centroid, method, single):
+    """SectionData of a stack, or of its one plane, whose degenerate centroid is None."""
+    if not single:
+        return SectionData(measure, centroid, method)
+    c = centroid[0]
+    return SectionData(float(measure[0]), None if np.isnan(c[0]) else c, method)
 
 
 def hyperplane_chart(direction):
-    """Deterministic orthonormal basis Q of ``direction^perp`` (columns).
+    """Deterministic orthonormal basis Q of ``direction^perp`` (columns), (n, n-1).
 
     Gram-Schmidt on the standard basis with the largest-|component| axis of the
-    direction removed first, so the chart is reproducible across runs.
+    direction removed first, so the chart is reproducible across runs.  A
+    stack of directions (m, n) gives one chart per row, (m, n, n-1), each
+    with the bits of its row's own chart.
     """
     x = np.asarray(direction, dtype=float)
-    n = x.shape[0]
-    drop = int(np.argmax(np.abs(x)))
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    m, n = x.shape
+    rows = np.arange(m)
+    # the axes other than the dropped one, in order
+    axes = np.argsort(np.arange(n) == np.argmax(np.abs(x), axis=1)[:, None], axis=1, kind="stable")[:, :-1]
     cols = []
-    for i in range(n):
-        if i == drop:
-            continue
-        v = np.zeros(n)  # e_i - x_i x from zeros: 0.0 - (+-0.0) keeps off-axis zeros +0.0
-        v[i] = 1.0
-        v -= x[i] * x
+    for i in axes.T:
+        v = np.zeros((m, n))  # e_i - x_i x from zeros: 0.0 - (+-0.0) keeps off-axis zeros +0.0
+        v[rows, i] = 1.0
+        v -= x[rows, i][:, None] * x
         for c in cols:
-            v = v - (v @ c) * c
-        v = v / np.linalg.norm(v)
-        cols.append(v)
-    return np.column_stack(cols)
+            v = v - _dot(v, c)[:, None] * c
+        cols.append(v / np.sqrt(_dot(v, v))[:, None])
+    Q = np.stack(cols, axis=-1)
+    return Q[0] if single else Q
 
 
 def _ball_cap_fraction(a, n):
-    """Fraction of the unit n-ball lying in ``{y : y_1 >= a}`` for a in [-1, 1]."""
-    if a >= 1.0:
-        return 0.0
-    if a <= -1.0:
-        return 1.0
-    if a >= 0.0:
-        return 0.5 * float(betainc((n + 1) / 2.0, 0.5, 1.0 - a * a))
-    return 1.0 - 0.5 * float(betainc((n + 1) / 2.0, 0.5, 1.0 - a * a))
+    """Fraction of the unit n-ball lying in ``{y : y_1 >= a}``, for each a, clipped to [-1, 1]."""
+    a = np.minimum(np.maximum(a, -1.0), 1.0)
+    half = 0.5 * betainc((n + 1) / 2.0, 0.5, 1.0 - a * a)
+    return np.where(a >= 0.0, half, 1.0 - half)
 
 
 # --- polytope slicing ------------------------------------------------------
@@ -183,68 +217,77 @@ def _cone_table(n):
 
 
 def _canonical_plane(x, t):
-    """Canonical (x, t, point_sign) with a sign-fixed direction and nonnegative offset.
+    """Canonical (x, t, point_sign) with a sign-fixed direction and nonnegative offset, row by row for a stack.
 
     The plane is unchanged by flipping (x, t) -> (-x, -t); fixing the sign of the
     first nonzero direction component and then mirroring negative offsets makes
     the centroid of mirrored sections an exact floating-point negation.
     """
-    for xi in x:
-        if xi != 0.0:
-            if xi < 0.0:
-                x, t = -x, -t
-            break
-    if t < 0.0:
-        return x, -t, -1.0
-    return x, t, 1.0
+    first = np.choose(np.argmax(x != 0.0, axis=-1), x.T)  # each row's first nonzero component
+    flip = first < 0.0
+    x, t = np.where(flip[..., None], -x, x), np.where(flip, -t, t)
+    below = t < 0.0
+    return x, np.where(below, -t, t), np.where(below, -1.0, 1.0)
+
+
+def _segment_sums(a, starts):
+    """Sums of the runs of rows of ``a`` that begin at ``starts`` (increasing), one run per plane."""
+    return np.add.reduceat(a, starts, axis=0)
 
 
 def _polytope_cones(K, x, t):
-    """Measure, centroid and cones of the section of a polytope by ``<x, y> = t``, t >= 0.
+    """Measures, centroids and cones of the sections of a polytope by ``<x_i, y> = t_i``, t_i >= 0.
 
-    Ties count as above H, so every slice vertex is an edge fraction in
-    [0, 1).  The cones share their apex, the mean of the slice vertices, which
+    ``x`` is an (m, n) stack of directions and ``t`` its m offsets.  Ties
+    count as above H, so every slice vertex is an edge fraction in [0, 1).
+    Each plane's cones share their apex, the mean of its slice vertices, which
     lies in K ∩ H: every cone volume is nonnegative and no sum cancels, however
-    small the section.  Returns ``(measure, centroid, cones)``, with centroid
-    and cones None when the section is degenerate; ``cones`` holds the
-    edge-end offsets ``se`` and vertices ``ve`` under each slice vertex, the
-    spoke frames ``[x, pts - apex]`` and their signed determinants.
+    small the section.  The cones of all planes are stacked, plane by plane,
+    and summed per plane.  Returns ``(measure, centroid, cones)``: m measures,
+    an (m, n) centroid with NaN rows where a section is degenerate, and, if
+    any plane has cones, ``cones`` holding the planes that have them
+    (``rows``), the first cone of each (``starts``), its cone count
+    (``counts``) and, per cone, the index of its plane among ``rows``
+    (``group``), the edge-end offsets ``se`` and vertices ``ve`` under each
+    slice vertex, the spoke frames ``[x, pts - apex]`` and their signed
+    determinants; otherwise None.
     """
     V, simplices, n = K.vertices, K.boundary_simplices, K.dim
-    d = V @ x
-    if t >= d.max():
-        return 0.0, None, None
-    s = d[simplices] - t
+    m = len(x)
+    measure, centroid = np.zeros(m), np.full((m, n), np.nan)
+    d = _apply(V, x)  # (m, vertices), rounded as each plane's own V @ x
+    s = d[:, simplices] - t[:, None, None]  # (m, simplices, n)
     weights, valid, ends = _cone_table(n)
-    code = (s < 0.0) @ weights
-    rows, slots = np.nonzero(valid[code])
-    cols = ends[code[rows], slots]  # (cones, 2, n-1)
-    rows = rows[:, None, None]
-    se, ve = s[rows, cols], V[simplices[rows, cols]]  # (cones, 2, n-1) and (cones, 2, n-1, n)
+    # a plane on or above every vertex cuts nothing, so its simplices get code 0 and no cones
+    code = ((s < 0.0) & (t < d.max(axis=1))[:, None, None]) @ weights
+    plane, simplex, slot = np.nonzero(valid[code])  # cones in plane order
+    if not plane.size:
+        return measure, centroid, None
+    cols = ends[code[plane, simplex], slot]  # (cones, 2, n-1)
+    se = s[plane[:, None, None], simplex[:, None, None], cols]  # (cones, 2, n-1)
+    ve = V[simplices[simplex[:, None, None], cols]]  # (cones, 2, n-1, n)
     si, sj, vi, vj = se[:, 0], se[:, 1], ve[:, 0], ve[:, 1]
     pts = vi + (si / (si - sj))[..., None] * (vj - vi)  # (cones, n-1, n)
-    apex = pts.reshape(-1, n).mean(axis=0)
+    counts = np.bincount(plane, minlength=m)
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    starts = np.cumsum(counts) - counts
+    group = np.repeat(np.arange(len(rows)), counts)
+    apex = _segment_sums(pts.reshape(-1, n), (n - 1) * starts) / ((n - 1) * counts)[:, None]
     # |det[x, spokes]| is the (n-1)-volume of the spokes' parallelotope in H
     frame = np.empty((len(pts), n, n))
-    frame[:, 0] = x
+    frame[:, 0] = x[plane]
     spokes = frame[:, 1:]
-    np.subtract(pts, apex, out=spokes)
+    np.subtract(pts, apex[group][:, None, :], out=spokes)
     signed = np.linalg.det(frame)
     dets = np.abs(signed)
-    # cumsum adds left to right like a scalar loop (sum() is pairwise), keeping report bytes stable
-    total = np.cumsum(dets)[-1]
-    if total <= 0.0:
-        return 0.0, None, None
+    total = _segment_sums(dets, starts)
     # a cone's centroid is apex + (sum of its spokes) / n
-    first_moment = np.cumsum(dets[:, None] * spokes.sum(axis=1), axis=0)[-1]
-    return total / factorial(n - 1), apex + first_moment / (n * total), (se, ve, frame, signed)
-
-
-def _polytope_section(K, H):
-    """Section of a polytope as a sum of cones over the slices of its boundary simplices."""
-    x, t, sgn = _canonical_plane(H.direction, H.offset)
-    measure, centroid, _ = _polytope_cones(K, x, t)
-    return SectionData(measure, None if centroid is None else sgn * centroid, SectionMethod.EXACT)
+    first_moment = _segment_sums(dets[:, None] * spokes.sum(axis=1), starts)
+    ok = total > 0.0
+    measure[rows[ok]] = total[ok] / factorial(n - 1)
+    centroid[rows[ok]] = apex[ok] + first_moment[ok] / (n * total[ok])[:, None]
+    return measure, centroid, (rows, starts, counts, group, se, ve, frame, signed)
 
 
 @cache
@@ -263,7 +306,7 @@ def _cofactor_table(n):
 
 
 def _polytope_centroid_partials(n, cones):
-    """(dc/dx, dc/dt) of a polytope section centroid at a canonical plane (x, t).
+    """(dc/dx, dc/dt) of the polytope section centroids at canonical planes (x, t), one per plane with cones.
 
     Every slice vertex v_i + λ (v_j - v_i) is rational in the edge-end offsets
     s = V x - t through λ = s_i / (s_i - s_j), and the centroid depends on x
@@ -271,9 +314,10 @@ def _polytope_centroid_partials(n, cones):
     Each cone volume |det F| is differentiated by Jacobi's formula,
     d det F = tr(adj(F) dF), with the cofactors taken as minors so that
     zero-volume cones stay finite.  A slice vertex on H gives the one-sided
-    derivative from above.
+    derivative from above.  A plane whose cones all have zero volume gives
+    NaN.
     """
-    se, ve, frame, signed = cones
+    _, starts, counts, group, se, ve, frame, signed = cones
     si, sj, vi, vj = se[:, 0], se[:, 1], ve[:, 0], ve[:, 1]
     den = si - sj  # > 0: the P end is on or above H, the Q end below
     # dλ = phi . (dx, dt), and each slice vertex moves by e dλ along its edge e = v_j - v_i
@@ -282,20 +326,24 @@ def _polytope_centroid_partials(n, cones):
     phi[..., n] = -1.0 / den
     e = vj - vi
     dpts = np.einsum("cki,ckp->cip", e, phi)  # per cone, the summed moves of its slice vertices
-    dapex = dpts.sum(axis=0) / si.size
+    dapex = _segment_sums(dpts, starts) / ((n - 1) * counts)[:, None, None]
     rows, cols, signs = _cofactor_table(n)
     cof = signs * np.linalg.det(frame[:, rows, cols])  # (cones, n-1, n): cofactors of the spoke rows
     # d det = sum over spoke rows k of cof_k . (e_k dλ_k - dapex)
-    ddet = np.einsum("ck,ckp->cp", np.einsum("cki,cki->ck", cof, e), phi) - cof.sum(axis=1) @ dapex
+    ddet = np.einsum("ck,ckp->cp", np.einsum("cki,cki->ck", cof, e), phi)
+    ddet -= np.einsum("ci,cip->cp", cof.sum(axis=1), dapex[group])
     ddets = np.sign(signed)[:, None] * ddet
     dets = np.abs(signed)
     sums = frame[:, 1:].sum(axis=1)
-    total = dets.sum()
-    moment = dets @ sums
+    total = _segment_sums(dets, starts)
+    total = np.where(total > 0.0, total, np.nan)[:, None, None]
+    moment = _segment_sums(dets[:, None] * sums, starts)
     # moment = sum_c dets_c sums_c, and d sums_c = dpts_c - (n-1) dapex
-    dmoment = sums.T @ ddets + np.einsum("c,cip->ip", dets, dpts) - (n - 1) * total * dapex
-    dc = dapex + dmoment / (n * total) - np.outer(moment, ddets.sum(axis=0)) / (n * total * total)
-    return dc[:, :n], dc[:, n]
+    dmoment = _segment_sums(sums[:, :, None] * ddets[:, None, :] + dets[:, None, None] * dpts, starts)
+    dmoment -= (n - 1) * total * dapex
+    dtotal = _segment_sums(ddets, starts)
+    dc = dapex + dmoment / (n * total) - moment[:, :, None] * dtotal[:, None, :] / (n * total * total)
+    return dc[..., :n], dc[..., n]
 
 
 def _clipped_polytope_volume(vertices, edges, x, t):
@@ -318,8 +366,13 @@ def _check_plane(K, H):
         raise BodyError("hyperplane and body dimensions differ")
 
 
+def _support(K, x, support):
+    """K's support on the rows of x: ``support`` when the caller has it, else computed."""
+    return K.support(x) if support is None else np.atleast_1d(support)
+
+
 def cap_volume(K, H, *, support=None):
-    """n-volume of ``{y in K : <direction, y> >= offset}``.
+    """n-volume of ``{y in K : <direction, y> >= offset}``; m volumes for a stack of m planes.
 
     Exact for polytopes in every dimension, closed form for balls and
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
@@ -327,46 +380,50 @@ def cap_volume(K, H, *, support=None):
     has it passes so it is not computed again.
     """
     _check_plane(K, H)
-    x, t = H.direction, H.offset
+    x, t, single = _planes(H)
     if isinstance(K, Ball):
-        return K.volume() * _ball_cap_fraction(t / K.radius, K.dim)
-    if support is None:
-        support = K.support(x)
-    if isinstance(K, Ellipsoid):
+        volume = K.volume() * _ball_cap_fraction(t / K.radius, K.dim)
+    elif isinstance(K, Ellipsoid):
         # affine reduction: A^{-1/2} maps the unit ball onto K, the cap onto a ball cap
-        return K.volume() * _ball_cap_fraction(t / support, K.dim)
+        volume = K.volume() * _ball_cap_fraction(t / _support(K, x, support), K.dim)
+    elif isinstance(K, VPolytope):
+        volume = np.array([
+            0.0 if ti >= hi else K.volume() if ti <= -hi else _clipped_polytope_volume(K.vertices, K.edges, xi, ti)
+            for xi, ti, hi in zip(x, t, _support(K, x, support))
+        ])
+    else:
+        raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
+    return float(volume[0]) if single else volume
+
+
+def _sections(K, x, t, support):
+    """(measures, centroids with NaN rows where degenerate, method) of K's sections by the rows of (x, t)."""
+    if isinstance(K, Ball):
+        r2 = K.radius**2 - t * t
+        cut = r2 > 0.0
+        measure = np.where(cut, unit_ball_volume(K.dim - 1) * np.maximum(r2, 0.0) ** ((K.dim - 1) / 2.0), 0.0)
+        return measure, np.where(cut[:, None], t[:, None] * x, np.nan), SectionMethod.ANALYTIC
+    if isinstance(K, Ellipsoid):
+        return *_ellipsoid_sections(K, x, t, _support(K, x, support)), SectionMethod.ANALYTIC
     if isinstance(K, VPolytope):
-        if t >= support:
-            return 0.0
-        if t <= -support:
-            return K.volume()
-        return _clipped_polytope_volume(K.vertices, K.edges, x, t)
-    raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
+        xc, tc, sgn = _canonical_plane(x, t)
+        measure, centroid, _ = _polytope_cones(K, xc, tc)
+        return measure, sgn[:, None] * centroid, SectionMethod.EXACT
+    raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
 
 
 def section(K, H, *, support=None):
-    """Measure and centroid of ``K ∩ H``.
+    """Measure and centroid of ``K ∩ H``, or of each section by a stack of planes.
 
     Exact for polytopes in every dimension, closed form for balls and
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
     Degenerate sections (|offset| >= support) come back with measure 0 and an
-    undefined centroid; callers must branch on ``SectionData.degenerate``.
-    ``support`` is as in ``cap_volume``.
+    undefined centroid (None, or a NaN row of a stack); callers must branch
+    on ``SectionData.degenerate``.  ``support`` is as in ``cap_volume``.
     """
     _check_plane(K, H)
-    x, t = H.direction, H.offset
-    if isinstance(K, Ball):
-        r2 = K.radius**2 - t * t
-        if r2 <= 0.0:
-            return SectionData(0.0, None, SectionMethod.ANALYTIC)
-        measure = unit_ball_volume(K.dim - 1) * r2 ** ((K.dim - 1) / 2.0)
-        centroid = t * x
-        return SectionData(measure, centroid, SectionMethod.ANALYTIC)
-    if isinstance(K, Ellipsoid):
-        return _ellipsoid_section(K, x, t, K.support(x) if support is None else support)
-    if isinstance(K, VPolytope):
-        return _polytope_section(K, H)
-    raise UnsupportedRepresentation(f"no exact section for {type(K).__name__}; use mc_section")
+    x, t, single = _planes(H)
+    return _section_data(*_sections(K, x, t, support), single)
 
 
 def section_partials(K, H, *, support=None):
@@ -377,42 +434,52 @@ def section_partials(K, H, *, support=None):
     with t held and the (n,) derivative in the offset t, at H.  Closed forms
     for balls and ellipsoids; for polytopes the derivative of the cone sums
     (one-sided where a vertex lies on H).  A degenerate section gives
-    ``(sec, None, None)``.  ``support`` is as in ``cap_volume``.
+    ``(sec, None, None)``.  A stack of m planes gives (m, n, n) and (m, n)
+    derivatives, with NaN where a section is degenerate.  ``support`` is as
+    in ``cap_volume``.
     """
     _check_plane(K, H)
-    x, t = H.direction, H.offset
+    x, t, single = _planes(H)
+    n = K.dim
     if isinstance(K, VPolytope):
         xc, tc, sgn = _canonical_plane(x, t)
         measure, centroid, cones = _polytope_cones(K, xc, tc)
-        if centroid is None:
-            return SectionData(0.0, None, SectionMethod.EXACT), None, None
-        dc_dx, dc_dt = _polytope_centroid_partials(K.dim, cones)
+        dc_dx, dc_dt = np.full((len(x), n, n), np.nan), np.full((len(x), n), np.nan)
+        if cones is not None:
+            dc_dx[cones[0]], dc_dt[cones[0]] = _polytope_centroid_partials(n, cones)
         # c(x, t) = sgn c~(a x, a sgn t), where a = +-1 fixed the direction's sign
-        a = 1.0 if xc @ x > 0.0 else -1.0
-        return SectionData(measure, sgn * centroid, SectionMethod.EXACT), sgn * a * dc_dx, a * dc_dt
-    sec = section(K, H, support=support)
-    if sec.degenerate:
-        return sec, None, None
-    # the centroid is t P x / (x^T P x), with P = A^{-1} for an ellipsoid and P = I for a ball
-    P = K.inverse_shape if isinstance(K, Ellipsoid) else np.eye(K.dim)
-    w = P @ x
-    q = float(x @ w)
-    return sec, t * (P - 2.0 * np.outer(w, w) / q) / q, w / q
+        a = np.where(np.sum(xc * x, axis=1) > 0.0, 1.0, -1.0)
+        centroid, dc_dx, dc_dt = sgn[:, None] * centroid, (sgn * a)[:, None, None] * dc_dx, a[:, None] * dc_dt
+        method = SectionMethod.EXACT
+    else:
+        measure, centroid, method = _sections(K, x, t, support)
+        # the centroid is t P x / (x^T P x), with P = A^{-1} for an ellipsoid and P = I for a ball
+        P = K.inverse_shape if isinstance(K, Ellipsoid) else np.eye(n)
+        w = _apply(P, x)
+        q = _dot(x, w)[:, None]
+        dc_dx = t[:, None, None] * (P - 2.0 * w[:, :, None] * w[:, None, :] / q[:, :, None]) / q[:, :, None]
+        dc_dt = w / q
+    cut = ~np.isnan(centroid[:, 0])
+    dc_dx[~cut], dc_dt[~cut] = np.nan, np.nan
+    sec = _section_data(measure, centroid, method, single)
+    if not single:
+        return sec, dc_dx, dc_dt
+    return (sec, dc_dx[0], dc_dt[0]) if cut[0] else (sec, None, None)
 
 
-def _ellipsoid_section(K, x, t, h):
+def _ellipsoid_sections(K, x, t, h):
+    """(measures, centroids with NaN rows where degenerate) of an ellipsoid's sections; h its support on x."""
     tau = t / h
-    if abs(tau) >= 1.0:
-        return SectionData(0.0, None, SectionMethod.ANALYTIC)
+    cut = np.abs(tau) < 1.0
     # K = M(B^n) with M = A^{-1/2}, so K ∩ H = M(B^n ∩ H'), where H' has unit
     # normal v = M x / h and offset tau; the ball section has radius rho and
     # center tau v, which M sends to t A^{-1} x / h^2.  M stretches hyperplane
     # measure on H' by det M |M^{-1} v| = det M / h, and det M = vol K / vol B^n.
-    center = t * (K.inverse_shape @ x) / (h * h)
-    rho = np.sqrt(1.0 - tau * tau)
+    center = t[:, None] * _apply(K.inverse_shape, x) / (h * h)[:, None]
+    rho = np.sqrt(np.where(cut, 1.0 - tau * tau, 0.0))
     n = K.dim
     measure = unit_ball_volume(n - 1) * rho ** (n - 1) * K.volume() / (unit_ball_volume(n) * h)
-    return SectionData(measure, center, SectionMethod.ANALYTIC)
+    return measure, np.where(cut[:, None], center, np.nan)
 
 
 def _mc_box_samples(K, H, samples, seed):

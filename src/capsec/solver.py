@@ -5,7 +5,10 @@ backtracking, whose retries are chosen by quadratic interpolation; polishes
 each candidate, from the gradient stage's last evaluation, with a damped
 Gauss-Newton iteration on the centroid-minus-touch-point residual;
 deduplicates antipodal clusters; and certifies the distinct-pair count
-against the dimension lower bound.  The residual's Jacobian J, in the
+against the dimension lower bound.  Both stages advance every start in
+lockstep: each round makes one array call over the trial directions of all
+live starts, and masks carry each start's own line search, damping and
+iteration caps, so a start takes the steps it would take alone.  The residual's Jacobian J, in the
 polish's chart Q, is exact: it is composed from the section's centroid
 partials and the Hessian of L's support function, or, where L has flat
 points, the derivative of L's normal map.  A pair's Morse index is the
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import BodyError, sphere_net
+from .bodies import BodyError, _dot, sphere_net
 from .functional import (
     DegenerateSectionError,
     RejectedInstanceError,
@@ -160,16 +163,21 @@ def _dedup(candidates):
 
 
 def _start_directions(dim, count, seed):
-    """Half low-discrepancy net, half seeded random directions."""
+    """``count`` starts: about half from the low-discrepancy net, the rest seeded random directions.
+
+    For n >= 3 the net drops its zero point, so it can give one row fewer
+    than half; the random rows make up the count.
+    """
     m_ld = (count + 1) // 2
     net = sphere_net(dim, max(m_ld, 8))[:m_ld]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    g = rng.normal(size=(count - m_ld, dim))
+    g = rng.normal(size=(count - len(net), dim))
     rnd = g / np.linalg.norm(g, axis=1, keepdims=True)
     return np.vstack([net, rnd])
 
 
 def _residual_vector(K, L, z):
+    """centroid - touch point at z; for a stack, NaN rows where the section is refused."""
     _, _, touch, sec = _touch_and_section(K, L, z)
     return sec.centroid - touch
 
@@ -177,116 +185,180 @@ def _residual_vector(K, L, z):
 def _gradient_stage(K, L, z, sign, trace=None):
     """Projected gradient, normalization retraction, Armijo backtracking with quadratic-interpolation retries.
 
-    ``sign`` is +1 for descent on f and -1 for ascent (descent on -f).  Along
-    the step phi(s) = sign f((z + s d)/|z + s d|), phi'(0) = -|g|.  A trial s
-    that fails the Armijo test is retried at the minimiser of the quadratic
+    ``z`` is an (m, n) stack of starts and ``sign`` one value per start, or
+    one for all: +1 for descent on f, -1 for ascent (descent on -f) and 0
+    for no step, the start going to the polish as it is.  Along a step
+    phi(s) = sign f((z + s d)/|z + s d|), phi'(0) = -|g|.  A trial s that
+    fails the Armijo test is retried at the minimiser of the quadratic
     through phi(0), phi'(0) and phi(s), kept in [0.1 s, 0.5 s]; a failed test
     gives the quadratic positive curvature, so the minimiser exists.  A
-    degenerate trial section halves s; a degenerate section at z itself
-    raises ``DegenerateSectionError``.  Returns the last iterate, its residual
-    vector centroid - touch point, which starts the polish, and the number of
-    accepted steps.
-    ``trace``, if given, records the objective value at each accepted iterate.
+    degenerate trial section halves s.  A start gives up after 25 trials of
+    one line search, and stops after ``GRADIENT_MAX_ITERS`` steps or once its
+    residual is below ``POLISH_TRIGGER``.
+
+    The starts advance in lockstep: each round evaluates the current trial of
+    every live start in one ``evaluate`` call.  Returns the last iterates,
+    their residual vectors centroid - touch point, which start the polish,
+    each start's number of accepted steps, and the mask of starts refused
+    because their own section is degenerate (NaN residuals, no steps).
+    ``trace``, if given, holds one list per start, which receives the
+    objective value at each of its accepted iterates, the start first.
     """
-    step = STEP_INIT
-    steps = 0
+    z = np.array(z, dtype=float)
+    m = len(z)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), (m,))
     ev = evaluate(K, L, z)
+    refused = np.isnan(ev.residual)
+    moving = sign != 0.0
+    z[moving] = ev.direction[moving]
+    f, g, res = ev.f_value.copy(), ev.tangential_gradient.copy(), ev.residual.copy()
+    r = ev.section.centroid - ev.touch_point
+    steps = np.zeros(m, dtype=int)
+    step = np.full(m, STEP_INIT)  # each start's first trial length
+    d, gn, phi0, s, trials = np.empty_like(z), np.empty(m), np.empty(m), np.empty(m), np.zeros(m, dtype=int)
+    live = ~refused & moving
     if trace is not None:
-        trace.append(ev.f_value)
-    for _ in range(GRADIENT_MAX_ITERS):
-        if ev.residual < POLISH_TRIGGER:
-            break
+        for i in np.flatnonzero(~refused):
+            trace[i].append(f[i])
+
+    def line_search(rows):
+        """Start a line search on each of ``rows`` not yet done; end the others."""
+        go = (res[rows] >= POLISH_TRIGGER) & (steps[rows] < GRADIENT_MAX_ITERS)
+        live[rows[~go]] = False
+        rows = rows[go]
         # |g| > 0: the centroid and the touch point lie on the supporting plane, so the
         # residual, at least POLISH_TRIGGER here, is tangential, and |g| is the measure times it
-        g = sign * ev.tangential_gradient
-        gn = np.linalg.norm(g)
-        d = -g / gn
-        phi0 = sign * ev.f_value
-        accepted = False
-        s = step
-        for _ in range(25):
-            z_new = z + s * d
-            z_new /= np.linalg.norm(z_new)
-            try:
-                ev_new = evaluate(K, L, z_new)
-            except DegenerateSectionError:
-                s *= 0.5
-                continue
-            phi = sign * ev_new.f_value
-            if phi <= phi0 - 1e-4 * s * gn:
-                accepted = True
-                break
-            s = min(max(gn * s * s / (2.0 * (phi - phi0 + gn * s)), 0.1 * s), 0.5 * s)
-        if not accepted:
-            break
-        z, ev = z_new, ev_new
-        step = min(2.0 * s, STEP_INIT)
-        steps += 1
+        gs = sign[rows, None] * g[rows]
+        gn[rows] = np.linalg.norm(gs, axis=1)
+        d[rows] = -gs / gn[rows, None]
+        phi0[rows] = sign[rows] * f[rows]
+        s[rows] = step[rows]
+        trials[rows] = 0
+
+    line_search(np.flatnonzero(live))
+    while live.any():
+        rows = np.flatnonzero(live)
+        z_new = z[rows] + s[rows, None] * d[rows]
+        z_new /= np.linalg.norm(z_new, axis=1, keepdims=True)
+        ev = evaluate(K, L, z_new)
+        trials[rows] += 1
+        phi = sign[rows] * ev.f_value
+        ok = phi <= phi0[rows] - 1e-4 * s[rows] * gn[rows]  # False on a degenerate (NaN) trial
+        won, lost = rows[ok], rows[~ok]
+        z[won], f[won], g[won], res[won] = ev.direction[ok], ev.f_value[ok], ev.tangential_gradient[ok], ev.residual[ok]
+        r[won] = ev.section.centroid[ok] - ev.touch_point[ok]
+        step[won] = np.minimum(2.0 * s[won], STEP_INIT)
+        steps[won] += 1
         if trace is not None:
-            trace.append(ev.f_value)
-    return ev.direction, ev.section.centroid - ev.touch_point, steps
+            for i in won:
+                trace[i].append(f[i])
+        sl, phil, gnl = s[lost], phi[~ok], gn[lost]
+        quadratic = gnl * sl * sl / (2.0 * (phil - phi0[lost] + gnl * sl))
+        s[lost] = np.where(np.isnan(phil), 0.5 * sl, np.minimum(np.maximum(quadratic, 0.1 * sl), 0.5 * sl))
+        live[lost[trials[lost] == 25]] = False
+        line_search(won)
+    return z, r, steps, refused
 
 
 def _centroid_derivative(K, L, z):
-    """Tangent chart Q at z, the touch point p, and dc/dx + dc/dt p^T at t = h_L(z).
+    """Tangent chart Q at z, the touch point p, and dc/dx + dc/dt p^T at t = h_L(z); one of each per row of a stack.
 
     The last is the derivative of the section centroid along L's supporting
-    planes, from the section's centroid partials.  Refuses z as ``evaluate`` does.
+    planes, from the section's centroid partials.  Refuses z as ``evaluate``
+    does: for a stack, a refused row's derivative is NaN.
     """
     plane, h = _supporting_plane(K, L, z)
     sec, dc_dx, dc_dt = section_partials(K, plane, support=h)
-    _require_measure(K, z, sec)
+    refused = _require_measure(K, z, sec)
     p = L.touch_point(z)
-    return hyperplane_chart(z), p, dc_dx + np.outer(dc_dt, p)
+    dc = dc_dx + dc_dt[..., :, None] * p[..., None, :]
+    dc[refused] = np.nan
+    return hyperplane_chart(z), p, dc
 
 
 def _newton_chart(K, L, z):
-    """Chart Q, the residual's Jacobian J in it, and the map from a chart step to the next z.
+    """Chart Q, the residual's Jacobian J in it, and the point the chart steps from; one of each per row of a stack.
 
     The step moves z on the sphere, and J = (dc/dx + dc/dt p^T - D^2 h_L(z)) Q.
     D^2 h_L is unbounded at the normals of L's flat points (``L.flat_points``),
     so where L has them the step moves the touch point y on L's boundary
     instead, with z = ``L.normal(y)``: there the residual c(normal(y)) - y has
     the Jacobian (dc/dx + dc/dt y^T) N Q - Q, N = ``L.normal_jacobian(y)``,
-    bounded where D^2 h_L is not.  In either chart Q^T J carries the Morse
-    index (``_classify``).
+    bounded where D^2 h_L is not.  The third value is z or y, which
+    ``_chart_move`` takes.  In either chart Q^T J carries the Morse index
+    (``_classify``).
     """
     Q, y, dc = _centroid_derivative(K, L, z)
     if not L.flat_points:
-        return Q, (dc - L.touch_point_jacobian(z)) @ Q, lambda step: (z + step) / np.linalg.norm(z + step)
-    return Q, dc @ L.normal_jacobian(y) @ Q - Q, lambda step: L.normal(y + step)
+        return Q, (dc - L.touch_point_jacobian(z)) @ Q, z
+    return Q, dc @ L.normal_jacobian(y) @ Q - Q, y
+
+
+def _chart_move(L, base, step):
+    """The direction a chart step reaches from ``_newton_chart``'s base point.
+
+    On the sphere the step is retracted; where L has flat points it moves y
+    on L's boundary, and the direction is L's normal there.
+    """
+    if not L.flat_points:
+        w = base + step
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return L.normal(base + step)
+
+
+def _lstsq(J, b):
+    """Minimum-norm least-squares solutions of J x = b, one per row of a stack, with ``lstsq``'s default cutoff.
+
+    Singular values at most eps * max(J's shape) times the largest are taken
+    as zero.
+    """
+    U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(J.shape[-2:]) * sv[:, :1]
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+    return np.einsum("mij,mi->mj", Vt, inverse * np.einsum("mji,mj->mi", U, b))
 
 
 def _polish(K, L, z, r):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart.
 
-    ``r`` is the residual vector at z.  Returns the last z, its residual norm
-    and the number of accepted steps.
+    ``z`` is an (m, n) stack of starts and ``r`` their residual vectors.  The
+    starts advance in lockstep: each round, the starts that begin a Newton
+    step take their charts from one ``_newton_chart`` call, and every live
+    start tries its damped step in one ``_residual_vector`` call.  A trial
+    that does not lower the residual, or whose section is refused, halves
+    the damping; a start stops after 12 such trials of one step, after
+    ``POLISH_MAX_ITERS`` steps, or at a quarter of ``RESIDUAL_TOL``.  Returns
+    the last directions, their residual norms and each start's number of
+    accepted steps.
     """
-    rn = np.linalg.norm(r)
-    steps = 0
-    for _ in range(POLISH_MAX_ITERS):
-        if rn <= 0.25 * RESIDUAL_TOL:
-            break
-        Q, J, move = _newton_chart(K, L, z)
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        improved = False
-        damping = 1.0
-        for _ in range(12):
-            z_new = move(damping * (Q @ delta))
-            try:
-                r_new = _residual_vector(K, L, z_new)
-            except DegenerateSectionError:
-                damping *= 0.5
-                continue
-            if np.linalg.norm(r_new) < rn:
-                z, r, rn = z_new, r_new, float(np.linalg.norm(r_new))
-                improved = True
-                break
-            damping *= 0.5
-        if not improved:
-            break
-        steps += 1
+    z, r = np.array(z, dtype=float), np.array(r, dtype=float)
+    m = len(z)
+    rn = np.linalg.norm(r, axis=1)
+    steps, trials = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    base, step, damping = np.empty_like(z), np.empty_like(z), np.ones(m)
+    fresh = rn > 0.25 * RESIDUAL_TOL  # starts that begin a Newton step this round
+    live = fresh.copy()
+    while live.any():
+        rows = np.flatnonzero(fresh)
+        if rows.size:
+            Q, J, base[rows] = _newton_chart(K, L, z[rows])
+            step[rows] = (Q @ _lstsq(J, -r[rows])[:, :, None])[:, :, 0]
+            damping[rows], trials[rows] = 1.0, 0
+        rows = np.flatnonzero(live)
+        z_new = _chart_move(L, base[rows], damping[rows, None] * step[rows])
+        r_new = _residual_vector(K, L, z_new)
+        rn_new = np.linalg.norm(r_new, axis=1)
+        better = rn_new < rn[rows]  # False on a refused (NaN) trial
+        trials[rows] += 1
+        won, lost = rows[better], rows[~better]
+        z[won], r[won], rn[won] = z_new[better], r_new[better], rn_new[better]
+        steps[won] += 1
+        damping[lost] *= 0.5
+        live[lost[trials[lost] == 12]] = False
+        fresh[:] = False
+        more = (rn[won] > 0.25 * RESIDUAL_TOL) & (steps[won] < POLISH_MAX_ITERS)
+        fresh[won[more]] = True
+        live[won[~more]] = False
     return z, rn, steps
 
 
@@ -323,26 +395,15 @@ def solve(K, L, config=None):
     n = K.dim
     count = cfg.resolved_starts(n)
     starts = _start_directions(n, count, cfg.seed)
-    iterations = rejections = 0
 
     # starts cycle through descent, ascent and polish only; a start whose own
     # section is degenerate is refused, once, and not polished
-    candidates = []
-    for i, z in enumerate(starts):
-        try:
-            if i % 3 == 0:
-                z, r, steps = _gradient_stage(K, L, z, +1.0)
-            elif i % 3 == 1:
-                z, r, steps = _gradient_stage(K, L, z, -1.0)
-            else:
-                r, steps = _residual_vector(K, L, z), 0
-        except DegenerateSectionError:
-            rejections += 1
-            continue
-        z, res, polish_steps = _polish(K, L, z, r)
-        iterations += steps + polish_steps
-        if res <= RESIDUAL_TOL:
-            candidates.append((_canonical(z), res))
+    signs = np.array([1.0, -1.0, 0.0])[np.arange(len(starts)) % 3]
+    z, r, steps, refused = _gradient_stage(K, L, starts, signs)
+    z, res, polish_steps = _polish(K, L, z[~refused], r[~refused])
+    iterations = int(steps.sum() + polish_steps.sum())
+    # copied rows: a report keeps its pairs' directions, not the whole stack of starts
+    candidates = [(_canonical(zi.copy()), float(ri)) for zi, ri in zip(z, res) if ri <= RESIDUAL_TOL]
 
     clusters = _dedup(candidates)
     pairs = []
@@ -368,7 +429,7 @@ def solve(K, L, config=None):
         "converged": len(candidates),
         "dedup_merges": len(candidates) - len(clusters),
         "iterations": iterations,
-        "degenerate_rejections": rejections,
+        "degenerate_rejections": int(refused.sum()),
     }
     return TheoremReport(dimension=n, pairs=pairs, diagnostics=diagnostics)
 
@@ -404,9 +465,12 @@ def _signed_gradient_2d(K, L, theta):
 
 def _grid_census_2d(K, L, resolution):
     thetas = np.arange(resolution) * (np.pi / resolution)
-    svals = np.empty(resolution)
-    for i, th in enumerate(thetas):
-        svals[i] = _signed_gradient_2d(K, L, th)[0]
+    z = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    r = _residual_vector(K, L, z)
+    if np.isnan(r).any():
+        i = int(np.flatnonzero(np.isnan(r[:, 0]))[0])
+        _residual_vector(K, L, z[i])  # raises, as the bracketing needs every grid value
+    svals = _dot(r, np.column_stack([-z[:, 1], z[:, 0]]))
     results = []
     for i in range(resolution):
         a, b = thetas[i], thetas[i] + np.pi / resolution
@@ -482,23 +546,13 @@ def _grid_census_3d(K, L, resolution):
     while 12 * 4**subdivisions < resolution and subdivisions < 6:
         subdivisions += 1
     verts, edges = _icosphere(subdivisions)
-    vectors = [None] * len(verts)  # residual vector per vertex; None where the section is degenerate
-    residuals = np.full(len(verts), np.inf)
-    for i, z in enumerate(verts):
-        try:
-            vectors[i] = _residual_vector(K, L, z)
-        except DegenerateSectionError:
-            continue
-        residuals[i] = np.linalg.norm(vectors[i])
-    neighbors = [[] for _ in verts]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    results = []
-    for i, z in enumerate(verts):
-        if vectors[i] is None or any(residuals[j] < residuals[i] for j in neighbors[i]):
-            continue  # degenerate, or not a local minimum of the residual
-        zp, res, _ = _polish(K, L, z, vectors[i])
-        if res <= RESIDUAL_TOL:
-            results.append((_canonical(zp), res))
-    return results
+    vectors = _residual_vector(K, L, verts)  # NaN rows where the section is degenerate
+    residuals = np.linalg.norm(vectors, axis=1)
+    residuals[np.isnan(residuals)] = np.inf
+    # a vertex with a lower neighbour is not a local minimum of the residual, nor is a degenerate one
+    a, b = np.array(edges).T
+    minima = np.isfinite(residuals)
+    minima[a[residuals[b] < residuals[a]]] = False
+    minima[b[residuals[a] < residuals[b]]] = False
+    zp, res, _ = _polish(K, L, verts[minima], vectors[minima])
+    return [(_canonical(z.copy()), float(rz)) for z, rz in zip(zp, res) if rz <= RESIDUAL_TOL]

@@ -109,6 +109,30 @@ class TestTouchPoint:
             with pytest.raises(UnsupportedRepresentation):
                 body.touch_point(np.ones(body.dim))
 
+    def test_stack_with_a_zero_row(self):
+        U = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for body in (Ball(1.0, 2), Ellipsoid.from_semiaxes([1.0, 0.5]), LpBall(3.0, 1.0, 2)):
+            with pytest.raises(BodyError):
+                body.touch_point(U)
+            with pytest.raises(BodyError):
+                body.touch_point_jacobian(U)
+
+
+class TestSphereNet:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_built_once_and_read_only(self, dim):
+        net = sphere_net(dim)
+        assert sphere_net(dim) is net
+        assert not net.flags.writeable
+        with pytest.raises(ValueError):
+            net[0, 0] = 0.0
+        assert np.linalg.norm(net, axis=1) == pytest.approx(np.ones(len(net)), abs=1e-15)
+
+    def test_sobol_net_drops_the_zero_point(self):
+        # the Sobol point (1/2, ..., 1/2) maps to 0 under the normal quantile
+        assert len(sphere_net(2, 64)) == 64
+        assert len(sphere_net(3, 64)) == len(sphere_net(4, 64)) == 63
+
 
 class TestGauge:
     def test_ball(self):

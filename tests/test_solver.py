@@ -4,17 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube
+from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube, sphere_net
 from capsec.families import fit_inside, random_ellipsoid, random_instance, random_rotation
 import capsec.solver as solver_module
 from capsec.functional import (
     DegenerateSectionError,
     FunctionalEval,
     RejectedInstanceError,
+    _supporting_plane,
     _touch_and_section,
     evaluate,
 )
-from capsec.sections import SectionData, SectionMethod, hyperplane_chart
+from capsec.sections import SectionData, SectionMethod, cap_volume, hyperplane_chart, section, section_partials
 from capsec.solver import (
     RESIDUAL_TOL,
     STEP_INIT,
@@ -22,6 +23,7 @@ from capsec.solver import (
     SolverConfig,
     TheoremReport,
     _centroid_derivative,
+    _chart_move,
     _classify,
     _newton_chart,
     _gradient_stage,
@@ -52,6 +54,29 @@ class TestConfig:
     def test_too_few_starts(self):
         with pytest.raises(BodyError):
             SolverConfig(starts=2).resolved_starts(3)
+
+
+class TestStartDirections:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_count_is_the_requested_count(self, dim):
+        # for n >= 3 the net drops its zero point; the random half makes up the row
+        for count in sorted({dim, 7, 15, 16, 96, 64 * dim}):
+            for seed in (0, 501):
+                starts = _start_directions(dim, count, seed)
+                assert starts.shape == (count, dim)
+                assert np.linalg.norm(starts, axis=1) == pytest.approx(np.ones(count), abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_the_added_start_comes_last(self, dim):
+        # the net rows and the random rows keep their places; the one more random row follows them
+        count = 64 * dim
+        starts = _start_directions(dim, count, 7)
+        net = sphere_net(dim, count // 2)
+        assert len(net) == count // 2 - 1
+        assert np.array_equal(starts[: len(net)], net)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
+        g = rng.normal(size=(count - len(net), dim))
+        assert np.array_equal(starts[len(net):], g / np.linalg.norm(g, axis=1, keepdims=True))
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +228,14 @@ class TestDegenerateGeometry:
             assert p.residual <= 1e-7
             assert abs(L.gauge(p.centroid) - 1.0) <= 1e-5
 
-    def test_gradient_stage_raises_at_a_degenerate_start(self, needle_in_cube):
+    def test_gradient_stage_refuses_a_degenerate_start(self, needle_in_cube):
         K, L, d = needle_in_cube
-        for sign in (+1.0, -1.0):
-            with pytest.raises(DegenerateSectionError):
-                _gradient_stage(K, L, d, sign)
+        with pytest.raises(DegenerateSectionError):
+            evaluate(K, L, d)
+        z, r, steps, refused = _gradient_stage(K, L, np.stack([d, d, d]), [+1.0, -1.0, 0.0])
+        assert refused.tolist() == [True, True, True]
+        assert steps.tolist() == [0, 0, 0]
+        assert np.isnan(r).all()
 
     def test_refused_start_is_counted_once_and_never_polished(self, monkeypatch):
         # the descent and ascent starts' own evaluations are scripted to be
@@ -218,9 +246,14 @@ class TestDegenerateGeometry:
         starts = _start_directions(2, 3, 0)
 
         def scripted(K, L, z):
-            if any(np.array_equal(z, s) for s in starts[:2]):
-                raise DegenerateSectionError(z, 0.0)
-            return evaluate(K, L, z)
+            # a refused row of a stacked evaluation holds NaN; the reported pairs are evaluated one by one
+            ev = evaluate(K, L, z)
+            if z.ndim == 1:
+                return ev
+            refused = [any(np.array_equal(row, s) for s in starts[:2]) for row in z]
+            ev.f_value[refused] = ev.residual[refused] = np.nan
+            ev.tangential_gradient[refused] = ev.section.centroid[refused] = np.nan
+            return ev
 
         polished = []
 
@@ -232,7 +265,7 @@ class TestDegenerateGeometry:
         monkeypatch.setattr(solver_module, "_polish", recording)
         report = solve(K, L, SolverConfig(starts=3, seed=0))
         assert report.diagnostics["degenerate_rejections"] == 2
-        assert len(polished) == 1 and np.array_equal(polished[0], starts[2])
+        assert len(polished) == 1 and np.array_equal(polished[0], starts[2:])
 
 
 def fd_residual_jacobian(K, L, z, step=1e-6):
@@ -321,7 +354,7 @@ class TestResidualJacobian:
         z = np.array(start) / np.linalg.norm(start)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf or nan reaches lstsq
-            z_out, res, steps = _polish(K, L, z, _residual_vector(K, L, z))
+            (z_out,), (res,), (steps,) = _polish(K, L, z[None], _residual_vector(K, L, z)[None])
         assert res <= RESIDUAL_TOL
         assert steps <= 10
         v = np.round(np.abs(z_out) * np.sqrt(np.count_nonzero(np.abs(z_out) > 0.1)))
@@ -370,11 +403,11 @@ class TestResidualJacobian:
         z = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
         Q, p, dc = _centroid_derivative(K, L, z)
         J = (dc - L.touch_point_jacobian(z)) @ Q
-        Q_y, J_y, move = _newton_chart(K, L, z)
+        Q_y, J_y, base = _newton_chart(K, L, z)
         assert Q_y.tobytes() == Q.tobytes()
         N = L.normal_jacobian(p)
         assert J_y == pytest.approx(J @ Q.T @ N @ Q, abs=1e-12)
-        assert move(np.zeros(3)) == pytest.approx(z, abs=1e-15)
+        assert _chart_move(L, base, np.zeros(3)) == pytest.approx(z, abs=1e-15)
         # both charts give the same index here, where D^2 h_L is finite
         H = Q.T @ J
         assert _classify(K, L, z) == np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)
@@ -443,25 +476,24 @@ class TestMonotonicity:
 
         K = cube(1.0, 2)
         L = Ellipsoid.from_semiaxes([0.7, 0.3])
-        rng = np.random.default_rng(20)
-        for _ in range(5):
-            z0 = rng.normal(size=2)
-            z0 /= np.linalg.norm(z0)
-            trace = []
-            _gradient_stage(K, L, z0, +1.0, trace=trace)
-            assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
-            trace = []
-            _gradient_stage(K, L, z0, -1.0, trace=trace)
-            assert all(b >= a - 1e-15 for a, b in zip(trace, trace[1:]))
+        z0 = np.random.default_rng(20).normal(size=(5, 2))
+        z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
+        for sign in (+1.0, -1.0):
+            traces = [[] for _ in z0]
+            _gradient_stage(K, L, z0, sign, trace=traces)
+            for trace in traces:
+                assert len(trace) > 1
+                assert all(sign * b <= sign * a + 1e-15 for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
     @pytest.mark.parametrize("make", BENCHMARK_SETTINGS.values(), ids=BENCHMARK_SETTINGS.keys())
     def test_benchmark_settings_take_armijo_steps(self, monkeypatch, make, sign):
         """Every accepted step meets phi(s) <= phi(0) - 1e-4 s |g|, so the trace is monotone.
 
-        ``evaluate`` is recorded; the accepted iterates are the evaluations
-        whose values the trace holds, and each step length s is read back
-        from the retraction z' = (z + s d) / |z + s d|, with d = -g/|g|.
+        ``evaluate`` is recorded, and its stacked rows are taken in call order.
+        A start's accepted iterates are the rows whose values its trace holds,
+        and each step length s is read back from the retraction
+        z' = (z + s d) / |z + s d|, with d = -g/|g|.
         """
         K, L = make()
         evals = []
@@ -471,27 +503,28 @@ class TestMonotonicity:
             return evals[-1]
 
         monkeypatch.setattr(solver_module, "evaluate", recording)
-        rng = np.random.default_rng(21)
-        steps = rejected = 0
-        for _ in range(4):
-            z0 = rng.normal(size=K.dim)
-            z0 /= np.linalg.norm(z0)
-            evals.clear()
-            trace = []
-            _gradient_stage(K, L, z0, sign, trace=trace)
+        z0 = np.random.default_rng(21).normal(size=(4, K.dim))
+        z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
+        traces = [[] for _ in z0]
+        _, _, counts, _ = _gradient_stage(K, L, z0, sign, trace=traces)
+        # (direction, f, gradient) of every evaluated row
+        rows = [row for ev in evals for row in zip(ev.direction, ev.f_value, ev.tangential_gradient)]
+        steps = 0
+        for trace in traces:
             assert all(sign * b <= sign * a + 1e-15 for a, b in zip(trace, trace[1:]))
-            remaining = iter(evals)
-            accepted = [next(ev for ev in remaining if ev.f_value == f) for f in trace]
-            for a, b in zip(accepted, accepted[1:]):
-                g = sign * a.tangential_gradient
+            remaining = iter(rows)
+            accepted = [next(row for row in remaining if row[1] == f) for f in trace]
+            for (za, fa, ga), (zb, fb, _) in zip(accepted, accepted[1:]):
+                g = sign * ga
                 gn = np.linalg.norm(g)
                 d = -g / gn
-                s = (b.direction @ d) / (b.direction @ a.direction)
+                s = (zb @ d) / (zb @ za)
                 assert 0.0 < s <= STEP_INIT * (1 + 1e-12)
                 # 1e-15 covers the rounding of s as read back from the unit vectors
-                assert sign * b.f_value <= sign * a.f_value - 1e-4 * s * gn + 1e-15
+                assert sign * fb <= sign * fa - 1e-4 * s * gn + 1e-15
             steps += len(trace) - 1
-            rejected += len(evals) - len(trace)
+        assert counts.tolist() == [len(trace) - 1 for trace in traces]
+        rejected = len(rows) - len(z0) - steps
         assert steps >= 20 and rejected >= 1
 
 
@@ -510,36 +543,132 @@ class TestBacktracking:
         #   s = 0.001: phi = 0.5 passes
         script = [(1.05, 0.04), (None, 0.02), (1.0 - 1e-6, 0.01), (2.0, 0.001), (0.5, None)]
         trials = []
-        sec = SectionData(1.0, np.zeros(2), SectionMethod.ANALYTIC)
 
         def scripted(K, L, z):
-            z = z / np.linalg.norm(z)
-            if not trials and z[0] == 1.0:
+            # one start: a stack of one row, which holds NaN where its section is degenerate
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+            (row,) = z
+            if not trials and row[0] == 1.0:
                 phi, residual = 1.0, 1.0  # the start, far from critical
             else:
-                trials.append(z[1] / z[0])
+                trials.append(row[1] / row[0])
                 phi, residual = script[len(trials) - 1][0], 0.0  # residual 0 ends the stage
                 if phi is None:
-                    raise DegenerateSectionError(z, 0.0)
-            return FunctionalEval(z, sign * phi, np.zeros(2), sec, np.array([0.0, -2.0 * sign]), residual)
+                    phi = residual = np.nan
+            centroid = np.full((1, 2), np.nan if np.isnan(residual) else 0.0)
+            sec = SectionData(np.ones(1), centroid, SectionMethod.ANALYTIC)
+            grad = np.array([[0.0, -2.0 * sign]])
+            return FunctionalEval(z, np.array([sign * phi]), np.zeros((1, 2)), sec, grad, np.array([residual]))
 
         monkeypatch.setattr(solver_module, "evaluate", scripted)
-        z, r, steps = _gradient_stage(Ball(1.0, 2), Ball(0.5, 2), np.array([1.0, 0.0]), sign)
+        z, r, steps, refused = _gradient_stage(Ball(1.0, 2), Ball(0.5, 2), np.array([[1.0, 0.0]]), sign)
         expected = [STEP_INIT] + [s_next for _, s_next in script[:-1]]
         assert trials == pytest.approx(expected, rel=1e-12)
-        assert steps == 1
-        assert z == pytest.approx(np.array([1.0, 0.001]) / np.hypot(1.0, 0.001), rel=1e-15)
-        assert np.array_equal(r, np.zeros(2))
+        assert steps.tolist() == [1] and refused.tolist() == [False]
+        assert z[0] == pytest.approx(np.array([1.0, 0.001]) / np.hypot(1.0, 0.001), rel=1e-15)
+        assert np.array_equal(r, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("sign", [+1.0, -1.0], ids=["descent", "ascent"])
     def test_stage_hands_the_polish_its_residual(self, sign):
         """The residual the stage returns is, bit for bit, the residual at its z, and the polish converges from it."""
         K, L = random_instance("ellipsoid_in_polytope", 3, 106)
         z0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-        z, r, steps = _gradient_stage(K, L, z0, sign)
-        assert steps > 0
+        z, r, steps, _ = _gradient_stage(K, L, z0[None], sign)
+        assert steps[0] > 0
         assert np.array_equal(r, _residual_vector(K, L, z))
-        assert _polish(K, L, z, r)[1] <= RESIDUAL_TOL
+        assert _polish(K, L, z, r)[1][0] <= RESIDUAL_TOL
+
+
+def rows_match(stacked, single, tol=1e-12):
+    """A row of a stacked call equals the one-row call: both refused (NaN or None), or within tol of its scale."""
+    if single is None:
+        return np.isnan(stacked).all()
+    single = np.asarray(single, dtype=float)
+    return np.abs(stacked - single).max() <= tol * max(1.0, np.abs(single).max())
+
+
+class TestLockstep:
+    """Each row of a stacked kernel or stage equals the call on that row alone."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("outer", OUTER_KINDS)
+    def test_kernel_rows_match_single_calls(self, outer, dim):
+        rng = np.random.default_rng([dim, 20 + OUTER_KINDS.index(outer)])
+        K = outer_body(outer, dim, rng)
+        for inner in ("ball", "ellipsoid", "lp1.5", "lp3"):
+            L = fit_inside(K, inner_body(inner, dim, rng))
+            z = rng.normal(size=(6, dim))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            H, h = _supporting_plane(K, L, z)
+            sec, dc_dx, dc_dt = section_partials(K, H, support=h)
+            caps, sections, charts, ev = cap_volume(K, H), section(K, H), hyperplane_chart(z), evaluate(K, L, z)
+            Q, J, base = _newton_chart(K, L, z)
+            for i, zi in enumerate(z):
+                Hi, hi = _supporting_plane(K, L, zi)
+                assert rows_match(h[i], hi) and rows_match(H.offset[i], Hi.offset)
+                assert rows_match(L.touch_point(z)[i], L.touch_point(zi))
+                assert rows_match(L.touch_point_jacobian(z)[i], L.touch_point_jacobian(zi))
+                if L.flat_points:
+                    y = L.touch_point(zi)
+                    assert rows_match(L.normal(L.touch_point(z))[i], L.normal(y))
+                    assert rows_match(L.normal_jacobian(L.touch_point(z))[i], L.normal_jacobian(y))
+                assert rows_match(caps[i], cap_volume(K, Hi))
+                one = section(K, Hi)
+                assert rows_match(sections.measure[i], one.measure) and rows_match(sections.centroid[i], one.centroid)
+                one, dx, dt = section_partials(K, Hi, support=hi)
+                assert rows_match(sec.centroid[i], one.centroid)
+                assert rows_match(dc_dx[i], dx) and rows_match(dc_dt[i], dt)
+                assert charts[i].tobytes() == hyperplane_chart(zi).tobytes()
+                single = evaluate(K, L, zi)
+                for field in ("f_value", "touch_point", "tangential_gradient", "residual"):
+                    assert rows_match(getattr(ev, field)[i], getattr(single, field)), field
+                Qi, Ji, bi = _newton_chart(K, L, zi)
+                assert Q[i].tobytes() == Qi.tobytes() and rows_match(J[i], Ji) and rows_match(base[i], bi)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("outer", OUTER_KINDS)
+    def test_stage_rows_match_single_starts(self, outer, dim):
+        rng = np.random.default_rng([dim, 30 + OUTER_KINDS.index(outer)])
+        K = outer_body(outer, dim, rng)
+        for inner in ("ball", "ellipsoid", "lp1.5", "lp3"):
+            L = fit_inside(K, inner_body(inner, dim, rng))
+            z0 = rng.normal(size=(6, dim))
+            z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
+            signs = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
+            self.check_stages(K, L, z0, signs)
+
+    def test_needle_rows_are_refused_alone(self, needle_in_cube):
+        # the diagonal and the starts whose own section is degenerate are refused
+        # in the stack exactly as alone; the other rows go on
+        K, L, d = needle_in_cube
+        starts = _start_directions(4, 32, 0)[12:27]  # holds the four refused starts, 16, 17, 18 and 25
+        z0 = np.vstack([d, starts, -d])
+        signs = np.array([1.0, -1.0, 0.0])[np.arange(len(z0)) % 3]
+        refused = self.check_stages(K, L, z0, signs)
+        assert np.flatnonzero(refused).tolist() == [0, 5, 6, 7, 14, 16]
+
+    def check_stages(self, K, L, z0, signs):
+        """Stacked stages against one-row calls: iterates, residuals, step counts and refusals."""
+        z, r, steps, refused = _gradient_stage(K, L, z0, signs)
+        residuals = _residual_vector(K, L, z0)
+        for i, zi in enumerate(z0):
+            try:
+                _residual_vector(K, L, zi)
+                alone = False
+            except DegenerateSectionError:
+                alone = True
+            assert np.isnan(residuals[i]).all() == alone == refused[i]
+            z1, r1, steps1, refused1 = _gradient_stage(K, L, zi[None], signs[i])
+            assert refused1[0] == refused[i] and steps1[0] == steps[i]
+            if not refused[i]:
+                assert rows_match(z[i], z1[0]) and rows_match(r[i], r1[0])
+        kept = ~refused
+        zp, res, polish_steps = _polish(K, L, z[kept], r[kept])
+        for i, (zi, ri) in enumerate(zip(z[kept], r[kept])):
+            zp1, res1, steps1 = _polish(K, L, zi[None], ri[None])
+            assert steps1[0] == polish_steps[i] and rows_match(zp[i], zp1[0])
+            assert rows_match(res[i], res1[0])
+        return refused
 
 
 def make_pair(dim, i=0, morse_index=None):
