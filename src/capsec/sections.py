@@ -128,7 +128,7 @@ def _section_data(measure, centroid, method, single):
     """SectionData of a stack, or of its one plane, whose degenerate centroid is None."""
     if not single:
         return SectionData(measure, centroid, method)
-    c = centroid[0]
+    c = centroid[0].copy()  # not a view, which would keep the stack alive
     return SectionData(float(measure[0]), None if np.isnan(c[0]) else c, method)
 
 

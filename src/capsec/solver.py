@@ -76,7 +76,7 @@ class SolverConfig:
         return m
 
 
-@dataclass
+@dataclass(slots=True)  # a census or benchmark run keeps every report it makes
 class CriticalPair:
     """Antipodal pair of critical directions, stored via its canonical representative."""
 
@@ -100,7 +100,7 @@ class CriticalPair:
         return "saddle"
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremReport:
     dimension: int
     pairs: list[CriticalPair]
