@@ -8,13 +8,14 @@ deduplicates antipodal clusters; and certifies the distinct-pair count
 against the dimension lower bound.  Both stages advance every start in
 lockstep: each round makes one array call over the trial directions of all
 live starts, and masks carry each start's own line search, damping and
-iteration caps, so a start takes the steps it would take alone.  The residual's Jacobian J, in the
-polish's chart Q, is exact: it is composed from the section's centroid
-partials and the Hessian of L's support function, or, where L has flat
-points, the derivative of L's normal map.  A pair's Morse index is the
-number of eigenvalues of Q^T J with negative real part, in whichever chart
-the polish used; by Sylvester's law of inertia both charts give the inertia
-of the Hessian of f.
+iteration caps, so a start takes the steps it would take alone.
+
+The residual's Jacobian J, in the polish's chart Q, is exact: it is
+composed from the section's centroid partials and the Hessian of L's
+support function, or, where L has flat points, the derivative of L's normal
+map.  A pair's Morse index is the number of eigenvalues of Q^T J with
+negative real part, in whichever chart the polish used; by Sylvester's law
+of inertia both charts give the inertia of the Hessian of f.
 
 A report stores only what the search measured; a pair's kind, the report's
 continuum flag and its Euler sum are read off the pairs' Morse indices.  The
@@ -214,7 +215,7 @@ def _gradient_stage(K, L, z, sign, trace=None):
     f, g, res = ev.f_value.copy(), ev.tangential_gradient.copy(), ev.residual.copy()
     r = ev.section.centroid - ev.touch_point
     steps = np.zeros(m, dtype=int)
-    step = np.full(m, STEP_INIT)  # each start's first trial length
+    step = np.full(m, STEP_INIT)  # the first trial length of each start's next line search
     d, gn, phi0, s, trials = np.empty_like(z), np.empty(m), np.empty(m), np.empty(m), np.zeros(m, dtype=int)
     live = ~refused & moving
     if trace is not None:
