@@ -11,10 +11,10 @@ the stack of L's supporting planes along ``solve``'s 64n start directions,
 at that direction, ``hyperplane_chart`` on the 64n start directions, and the
 solver stages as ``solve`` runs them: the lockstep ``_gradient_stage`` of
 the 64n starts (descent, ascent and none, in turn), the lockstep ``_polish``
-of every start from where that stage ends, and ``_classify`` at the pair a
-descent reaches.  The inner body is a seeded random ellipsoid fitted inside
-K; one more chart case fits an lp-ball with p = 3 in a ball, so the boundary
-chart at L's flat points is timed too.
+of every start from where that stage ends, and ``_classify`` on the
+one-row stack of the pair a descent reaches.  The inner body is a seeded
+random ellipsoid fitted inside K; one more chart case fits an lp-ball with
+p = 3 in a ball, so the boundary chart at L's flat points is timed too.
 """
 
 import numpy as np
@@ -188,7 +188,7 @@ def test_classify(benchmark, kind, dim):
     z, r, _, _ = _gradient_stage(K, L, z[None], +1.0)
     (z,), (res,), _ = _polish(K, L, z, r)
     assert res <= RESIDUAL_TOL
-    assert benchmark(_classify, K, L, z) == 0  # the descent ends at a minimum
+    assert benchmark(_classify, K, L, z[None]) == [0]  # the descent ends at a minimum
 
 
 def test_newton_chart_flat_points(benchmark):

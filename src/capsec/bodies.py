@@ -9,8 +9,8 @@ requiring normals / vertices to be closed under negation.
 
 ``support``, ``touch_point``, ``touch_point_jacobian``, ``normal`` and
 ``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
-and a stack gives one result per row.  One vector is the m = 1 case of the
-same array code.
+and a stack gives one result per row.  Each has one expression per body,
+so a row equals the call on its direction alone bit for bit, in any stack.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class ConvexBody:
 
     def bounding_halfwidths(self):
         """Axis-aligned bounding box half-widths (support along the axes)."""
-        return np.array([self.support(e) for e in np.eye(self.dim)])
+        return self.support(np.eye(self.dim))
 
     def diameter(self):
         return 2.0 * float(np.linalg.norm(self.bounding_halfwidths()))
@@ -185,9 +185,8 @@ class Ball(ConvexBody):
 
     def support(self, u):
         u = _as_directions(u, self.dim)
-        if u.ndim == 2:
-            return self.radius * np.linalg.norm(u, axis=1)
-        return self.radius * float(np.linalg.norm(u))
+        h = self.radius * np.linalg.norm(u, axis=-1)
+        return h if u.ndim == 2 else float(h)
 
     def touch_point(self, u):
         u = _as_directions(u, self.dim)
@@ -265,7 +264,6 @@ class Ellipsoid(ConvexBody):
         return self._eigvecs @ np.diag(1.0 / self._eigvals) @ self._eigvecs.T
 
     def support(self, u):
-        # each row rounded as one direction's, so a section's support and centroid keep their bits
         u = _as_directions(u, self.dim)
         h = np.sqrt(_dot(u, _apply(self.inverse_shape, u)))
         return h if u.ndim == 2 else float(h)
@@ -344,11 +342,10 @@ class LpBall(ConvexBody):
         return f"LpBall(p={self.p}, scale={self.scale}, dim={self.dim})"
 
     def support(self, u):
+        # dual-norm formula: h(u) = s * ||u||_q; the kept axis makes a vector's power an array's, as a row's is
         u = _as_directions(u, self.dim)
-        # dual-norm formula: h(u) = s * ||u||_q
-        if u.ndim == 2:
-            return self.scale * np.linalg.norm(u, ord=self.q, axis=1)
-        return self.scale * float(np.linalg.norm(u, ord=self.q))
+        h = self.scale * np.linalg.norm(u, ord=self.q, axis=-1, keepdims=True)[..., 0]
+        return h if u.ndim == 2 else float(h)
 
     def touch_point(self, u):
         u = _as_directions(u, self.dim)
@@ -483,10 +480,10 @@ class VPolytope(ConvexBody):
         return np.unique(pairs.reshape(-1, 2), axis=0)
 
     def support(self, u):
+        # V u row by row: a matrix product's BLAS kernel, so its rounding, depends on the stack's size
         u = _as_directions(u, self.dim)
-        if u.ndim == 2:
-            return np.max(u @ self.vertices.T, axis=1)
-        return float(np.max(self.vertices @ u))
+        h = np.max(_apply(self.vertices, u), axis=-1)
+        return h if u.ndim == 2 else float(h)
 
     def gauge(self, y):
         # qhull facet equations are not bitwise symmetric; |.| restores exact evenness

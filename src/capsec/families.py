@@ -57,7 +57,7 @@ def fit_inside(K, L):
     """Rescale L so that ``contains_body(K, L, FIT_REL_MARGIN * inradius(K))`` holds."""
     margin = FIT_REL_MARGIN * K.inradius_lower_bound()
     dirs = np.vstack([sphere_net(K.dim, _FIT_NET_SIZE), K.extreme_directions(), L.extreme_directions()])
-    ratio = min((K.support(u) - margin) / L.support(u) for u in dirs)
+    ratio = float(np.min((K.support(dirs) - margin) / L.support(dirs)))
     scale = 0.9 * ratio
     for _ in range(10):
         cand = L.scaled(scale)

@@ -8,7 +8,8 @@ deduplicates antipodal clusters; and certifies the distinct-pair count
 against the dimension lower bound.  Both stages advance every start in
 lockstep: each round makes one array call over the trial directions of all
 live starts, and masks carry each start's own line search, damping and
-iteration caps, so a start takes the steps it would take alone.
+iteration caps, so a start takes the steps it would take alone, bit for
+bit.  The distinct pairs are then evaluated and classified in one call each.
 
 The residual's Jacobian J, in the polish's chart Q, is exact: it is
 composed from the section's centroid partials and the Hessian of L's
@@ -30,8 +31,6 @@ import numpy as np
 
 from .bodies import BodyError, _dot, sphere_net
 from .functional import (
-    DegenerateSectionError,
-    RejectedInstanceError,
     _require_measure,
     _supporting_plane,
     _touch_and_section,
@@ -364,7 +363,7 @@ def _polish(K, L, z, r):
 
 
 def _classify(K, L, z):
-    """Morse index: the eigenvalues of Q^T J with negative real part, (Q, J) from ``_newton_chart``.
+    """Morse indices: per row of z, the eigenvalues of Q^T J with negative real part, (Q, J) from ``_newton_chart``.
 
     At a critical direction in the sphere chart, Q^T J is the chart Hessian of
     f over the measure.  In the boundary chart it is A T - I = (A - T^{-1}) T, with A = Q^T (dc/dx +
@@ -373,16 +372,16 @@ def _classify(K, L, z):
     real and, by Sylvester's law of inertia, their signs are the Hessian's; a
     flat direction (t = 0, where D^2 h_L is infinite) gives -1.  None if an
     eigenvalue is within ``FLAT_EIGENVALUE`` of 0 (times diam(K) in the sphere
-    chart; Q^T J has no units in the boundary chart) or a section degenerates.
+    chart; Q^T J has no units in the boundary chart) or the section is refused.
     """
-    try:
-        Q, J, _ = _newton_chart(K, L, z)
-    except (DegenerateSectionError, RejectedInstanceError):
-        return None
-    eig = np.linalg.eigvals(Q.T @ J).real
-    if np.any(np.abs(eig) <= FLAT_EIGENVALUE * (1.0 if L.flat_points else K.diameter())):
-        return None
-    return int(np.count_nonzero(eig < 0))
+    Q, J, _ = _newton_chart(K, L, z)
+    QtJ = np.swapaxes(Q, 1, 2) @ J
+    kept = np.isfinite(QtJ).all(axis=(1, 2))
+    eig = np.full(QtJ.shape[:2], np.nan)
+    eig[kept] = np.linalg.eigvals(QtJ[kept]).real
+    # NaN compares False, so a refused row counts as flat
+    flat = ~(np.abs(eig) > FLAT_EIGENVALUE * (1.0 if L.flat_points else K.diameter())).all(axis=1)
+    return [None if f else int(k) for f, k in zip(flat, np.count_nonzero(eig < 0, axis=1))]
 
 
 def solve(K, L, config=None):
@@ -407,20 +406,23 @@ def solve(K, L, config=None):
     candidates = [(_canonical(zi.copy()), float(ri)) for zi, ri in zip(z, res) if ri <= RESIDUAL_TOL]
 
     clusters = _dedup(candidates)
-    pairs = []
-    for z, res, basin in clusters:
-        ev = evaluate(K, L, z)
-        pairs.append(
-            CriticalPair(
-                direction=z,
-                f_value=float(ev.f_value),
-                residual=float(res),
-                centroid=ev.section.centroid,
-                touch_point=ev.touch_point,
-                morse_index=_classify(K, L, z),
-                basin_count=basin,
-            )
+    z = np.reshape([c[0] for c in clusters], (-1, n))
+    ev, indices = evaluate(K, L, z), _classify(K, L, z)
+    # copied rows, as above
+    pairs = [
+        CriticalPair(
+            direction=zi,
+            f_value=float(f),
+            residual=float(res),
+            centroid=centroid.copy(),
+            touch_point=touch.copy(),
+            morse_index=index,
+            basin_count=basin,
         )
+        for (zi, res, basin), f, centroid, touch, index in zip(
+            clusters, ev.f_value, ev.section.centroid, ev.touch_point, indices
+        )
+    ]
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
     pairs.sort(key=lambda p: (_round(p.f_value), tuple(np.round(p.direction, 9))))
 

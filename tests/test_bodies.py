@@ -78,6 +78,30 @@ class TestSupport:
             assert values == pytest.approx([body.support(u) for u in U], rel=1e-14, abs=0.0)
             assert type(body.support(U[0])) is float
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_row_does_not_depend_on_its_batch(self, dim):
+        # a direction alone, as a stack of one and as a row of 64 gives the same bits
+        rng = np.random.default_rng(dim)
+        rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        normals = rng.normal(size=(2 * dim, dim))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        offsets = rng.uniform(0.8, 1.2, size=2 * dim)
+        bodies = [
+            Ball(1.3, dim),
+            Ellipsoid.from_semiaxes(rng.uniform(0.4, 1.2, size=dim), rotation),
+            LpBall(1.5, 1.1, dim),
+            LpBall(3.0, 1.1, dim),
+            VPolytope.symmetric_hull(rng.normal(size=(3 * dim, dim))),
+            HPolytope(np.vstack([normals, -normals]), np.concatenate([offsets, offsets])),
+        ]
+        U = rng.normal(size=(64, dim))
+        for body in bodies:
+            for f in [body.support] + ([body.touch_point] if body.strictly_convex else []):
+                stack = f(U)
+                for i, u in enumerate(U):
+                    alone = np.asarray(f(u)).tobytes()
+                    assert alone == f(u[None])[0].tobytes() == stack[i].tobytes(), (body, f.__name__, i)
+
 
 class TestTouchPoint:
     def test_ball_radial(self):

@@ -246,10 +246,8 @@ class TestDegenerateGeometry:
         starts = _start_directions(2, 3, 0)
 
         def scripted(K, L, z):
-            # a refused row of a stacked evaluation holds NaN; the reported pairs are evaluated one by one
+            # a refused row of a stacked evaluation holds NaN
             ev = evaluate(K, L, z)
-            if z.ndim == 1:
-                return ev
             refused = [any(np.array_equal(row, s) for s in starts[:2]) for row in z]
             ev.f_value[refused] = ev.residual[refused] = np.nan
             ev.tangential_gradient[refused] = ev.section.centroid[refused] = np.nan
@@ -344,7 +342,7 @@ class TestResidualJacobian:
 
     def test_degenerate_section_is_unclassified(self, needle_in_cube):
         K, L, d = needle_in_cube
-        assert _classify(K, L, d) is None
+        assert _classify(K, L, d[None]) == [None]
 
     @pytest.mark.parametrize("start", [[1e-3, 2e-3, 1.0], [1.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
     def test_polish_reaches_flat_points(self, start):
@@ -371,7 +369,7 @@ class TestResidualJacobian:
                 L = LpBall(p, 0.5, 3)
                 for line, index in zip(([0, 0, 1], [0, 1, 1], [1, 1, 1]), indices):
                     z = np.array(line, dtype=float) + d
-                    assert _classify(K, L, z / np.linalg.norm(z)) == index, (p, line)
+                    assert _classify(K, L, z[None] / np.linalg.norm(z)) == [index], (p, line)
 
     def test_index_is_the_inertia_of_the_sphere_chart_hessian(self):
         # away from flat points (every |z_i| >= 1e-3) D^2 h_L is finite, so the sphere
@@ -389,7 +387,7 @@ class TestResidualJacobian:
                 if np.abs(z).min() < 1e-3:
                     continue
                 index = np.count_nonzero(np.linalg.eigvalsh(sphere_chart_hessian(K, L, z)) < 0)
-                assert _classify(K, L, z) == index, (i, z)
+                assert _classify(K, L, z[None]) == [index], (i, z)
                 Q, J, _ = _newton_chart(K, L, z)
                 eig = np.linalg.eigvals(Q.T @ J)
                 assert np.abs(eig.imag).max() <= 1e-12 * np.abs(eig).max()
@@ -410,7 +408,7 @@ class TestResidualJacobian:
         assert _chart_move(L, base, np.zeros(3)) == pytest.approx(z, abs=1e-15)
         # both charts give the same index here, where D^2 h_L is finite
         H = Q.T @ J
-        assert _classify(K, L, z) == np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)
+        assert _classify(K, L, z[None]) == [np.count_nonzero(np.linalg.eigvalsh(0.5 * (H + H.T)) < 0)]
 
 
 class TestSquareAndDisk:
@@ -579,12 +577,11 @@ class TestBacktracking:
         assert _polish(K, L, z, r)[1][0] <= RESIDUAL_TOL
 
 
-def rows_match(stacked, single, tol=1e-12):
-    """A row of a stacked call equals the one-row call: both refused (NaN or None), or within tol of its scale."""
+def rows_match(stacked, single):
+    """A row of a stacked call equals the one-row call: both refused (NaN or None), or equal."""
     if single is None:
         return np.isnan(stacked).all()
-    single = np.asarray(single, dtype=float)
-    return np.abs(stacked - single).max() <= tol * max(1.0, np.abs(single).max())
+    return np.array_equal(stacked, single, equal_nan=True)
 
 
 class TestLockstep:
@@ -603,6 +600,7 @@ class TestLockstep:
             sec, dc_dx, dc_dt = section_partials(K, H, support=h)
             caps, sections, charts, ev = cap_volume(K, H), section(K, H), hyperplane_chart(z), evaluate(K, L, z)
             Q, J, base = _newton_chart(K, L, z)
+            indices = _classify(K, L, z)
             for i, zi in enumerate(z):
                 Hi, hi = _supporting_plane(K, L, zi)
                 assert rows_match(h[i], hi) and rows_match(H.offset[i], Hi.offset)
@@ -624,6 +622,7 @@ class TestLockstep:
                     assert rows_match(getattr(ev, field)[i], getattr(single, field)), field
                 Qi, Ji, bi = _newton_chart(K, L, zi)
                 assert Q[i].tobytes() == Qi.tobytes() and rows_match(J[i], Ji) and rows_match(base[i], bi)
+                assert indices[i] == _classify(K, L, zi[None])[0]
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("outer", OUTER_KINDS)
@@ -636,6 +635,24 @@ class TestLockstep:
             z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
             signs = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
             self.check_stages(K, L, z0, signs)
+
+    def test_pairs_are_classified_in_one_call(self, monkeypatch):
+        # the pair phase is one stacked call, and each pair holds its direction's own bits
+        shapes = []
+
+        def recording(K, L, z):
+            shapes.append(z.shape)
+            return _classify(K, L, z)
+
+        monkeypatch.setattr(solver_module, "_classify", recording)
+        K, L = random_instance("ellipsoid_in_polytope", 3, 106)
+        report = solve(K, L, SolverConfig(starts=96, seed=106))
+        assert shapes == [(len(report.pairs), 3)]
+        for p in report.pairs:
+            ev = evaluate(K, L, p.direction)
+            assert p.f_value == ev.f_value and [p.morse_index] == _classify(K, L, p.direction[None])
+            assert p.centroid.tobytes() == ev.section.centroid.tobytes()
+            assert p.touch_point.tobytes() == ev.touch_point.tobytes()
 
     def test_needle_rows_are_refused_alone(self, needle_in_cube):
         # the diagonal and the starts whose own section is degenerate are refused
