@@ -8,7 +8,8 @@ kind, K's and L's ``support`` at one fixed direction and K's on a stack of
 64 directions, ``cap_volume`` and ``section`` on L's supporting plane and on
 the stack of L's supporting planes along ``solve``'s 64n start directions,
 ``evaluate`` and the polish's chart and residual Jacobian (``_newton_chart``)
-at that direction, ``hyperplane_chart`` on the 64n start directions, and the
+at that direction, ``hyperplane_chart`` and ``fd_tangential_gradient`` (as
+``capsec check-gradient`` runs it) on the 64n start directions, and the
 solver stages as ``solve`` runs them: the lockstep ``_gradient_stage`` of
 the 64n starts (descent, ascent and none, in turn), the lockstep ``_polish``
 of every start from where that stage ends, and ``_classify`` on the
@@ -22,7 +23,7 @@ import pytest
 
 from capsec.bodies import Ball, LpBall, VPolytope, cube
 from capsec.families import fit_inside, random_ellipsoid
-from capsec.functional import _supporting_plane, evaluate
+from capsec.functional import _supporting_plane, evaluate, fd_tangential_gradient
 from capsec.sections import cap_volume, hyperplane_chart, section
 from capsec.solver import (
     POLISH_TRIGGER,
@@ -149,6 +150,16 @@ def test_hyperplane_chart_stack(benchmark, dim):
     z, _ = starts(dim)
     Q = benchmark(hyperplane_chart, z)
     assert np.abs(np.einsum("mij,mi->mj", Q, z)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_fd_tangential_gradient_stack(benchmark, kind, dim):
+    K, L, _ = instance(kind, dim)
+    z, _ = starts(dim)
+    g = evaluate(K, L, z).tangential_gradient
+    fd = benchmark(fd_tangential_gradient, K, L, z)
+    # check-gradient's default threshold
+    assert (np.linalg.norm(fd - g, axis=1) <= 1e-3 * np.maximum(1.0, np.linalg.norm(g, axis=1))).all()
 
 
 @pytest.mark.parametrize("kind, dim", CASES)

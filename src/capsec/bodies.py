@@ -10,7 +10,8 @@ requiring normals / vertices to be closed under negation.
 ``support``, ``touch_point``, ``touch_point_jacobian``, ``normal`` and
 ``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
 and a stack gives one result per row.  Each has one expression per body,
-so a row equals the call on its direction alone bit for bit, in any stack.
+and a stack is read in C order, so a row equals the call on its direction
+alone bit for bit, in any stack and any memory order.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ def _as_vector(u, dim, name="u"):
 
 
 def _as_directions(u, dim):
-    """A vector (n,) or a stack of row vectors (m, n)."""
-    u = np.asarray(u, dtype=float)
+    """A vector (n,) or a stack of row vectors (m, n), in C order: matmul rounds by memory layout."""
+    u = np.ascontiguousarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != dim:
         raise BodyError(f"u has shape {u.shape}, expected ({dim},) or (m, {dim})")
     return u

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BodyError, LpBall, contains_body
+from .bodies import BodyError, LpBall, _apply, contains_body
 from .sections import Hyperplane, SectionData, cap_volume, hyperplane_chart, section
 
 __all__ = [
@@ -161,17 +161,18 @@ def evaluate(K, L, z):
 
 
 def fd_tangential_gradient(K, L, z):
-    """Central-difference tangential gradient with great-circle retraction.
+    """Central-difference tangential gradient with great-circle retraction; one per row of a stack.
 
     The step is ``FD_GRADIENT_STEP``.  Independent of the analytic formula:
-    only cap volumes are evaluated.
+    only cap volumes are evaluated, of the 2(n-1) perturbed directions of
+    every row in one array call per layer.
     """
     z = _unit(z)
     Q = hyperplane_chart(z)
-    step = FD_GRADIENT_STEP * Q.T
-    # the 2(n-1) perturbed directions, forward steps first, in one array call per layer
-    plane, h = _supporting_plane(K, L, _unit(np.vstack([z + step, z - step])))
-    f = cap_volume(K, plane, support=h)
-    forward, backward = np.split(f, 2)
-    return Q @ ((forward - backward) / (2.0 * FD_GRADIENT_STEP))
-
+    step = FD_GRADIENT_STEP * np.swapaxes(Q, -1, -2)
+    # each row's forward steps, then its backward steps
+    perturbed = np.concatenate([z[..., None, :] + step, z[..., None, :] - step], axis=-2)
+    plane, h = _supporting_plane(K, L, _unit(perturbed.reshape(-1, K.dim)))
+    f = cap_volume(K, plane, support=h).reshape(perturbed.shape[:-1])
+    forward, backward = np.split(f, 2, axis=-1)
+    return _apply(Q, (forward - backward) / (2.0 * FD_GRADIENT_STEP))

@@ -83,7 +83,7 @@ class Hyperplane:
     offset: float | np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
+        d = np.ascontiguousarray(self.direction, dtype=float)  # matmul rounds by memory layout
         if d.ndim not in (1, 2) or d.shape[-1] < 2:
             raise BodyError("hyperplane direction must be a vector in R^n, n >= 2, or a stack of them")
         if (np.abs(np.sqrt((d * d).sum(axis=-1)) - 1.0) > _UNIT_TOL).any():

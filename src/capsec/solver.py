@@ -5,11 +5,10 @@ backtracking, whose retries are chosen by quadratic interpolation; polishes
 each candidate, from the gradient stage's last evaluation, with a damped
 Gauss-Newton iteration on the centroid-minus-touch-point residual;
 deduplicates antipodal clusters; and certifies the distinct-pair count
-against the dimension lower bound.  Both stages advance every start in
-lockstep: each round makes one array call over the trial directions of all
-live starts, and masks carry each start's own line search, damping and
-iteration caps, so a start takes the steps it would take alone, bit for
-bit.  The distinct pairs are then evaluated and classified in one call each.
+against the dimension lower bound.  Both stages are rules for one round
+loop, ``_lockstep``, which advances every start together, one stacked call
+per round, so a start takes the steps it would take alone, bit for bit.
+The distinct pairs are then evaluated and classified in one call each.
 
 The residual's Jacobian J, in the polish's chart Q, is exact: it is
 composed from the section's centroid partials and the Hessian of L's
@@ -182,6 +181,33 @@ def _residual_vector(K, L, z):
     return sec.centroid - touch
 
 
+def _lockstep(live, more, begin, attempt, max_trials, max_steps):
+    """Advance a stack of rows together, one stacked ``attempt`` per round; return each row's accepted steps.
+
+    ``live`` masks the rows that run.  Each round ``attempt(rows)`` tries the
+    current trial of every live row in one call, shortens the trials that
+    fail, and returns which rows accepted theirs.  A row stops after
+    ``max_trials`` failed trials in a row.  A row that starts, or accepts a
+    step, goes on while ``more(rows)`` holds and it has taken fewer than
+    ``max_steps`` steps, and ``begin(rows)`` sets up its next step.
+    """
+    live = np.array(live, dtype=bool)
+    steps, trials = np.zeros(len(live), dtype=int), np.zeros(len(live), dtype=int)
+    fresh = np.flatnonzero(live)
+    while True:
+        go = more(fresh) & (steps[fresh] < max_steps)
+        live[fresh[~go]] = False
+        begin(fresh[go])
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            return steps
+        ok = attempt(rows)
+        trials[rows] = np.where(ok, 0, trials[rows] + 1)
+        steps[rows[ok]] += 1
+        live[rows[trials[rows] == max_trials]] = False
+        fresh = rows[ok]
+
+
 def _gradient_stage(K, L, z, sign, trace=None):
     """Projected gradient, normalization retraction, Armijo backtracking with quadratic-interpolation retries.
 
@@ -192,17 +218,18 @@ def _gradient_stage(K, L, z, sign, trace=None):
     fails the Armijo test is retried at the minimiser of the quadratic
     through phi(0), phi'(0) and phi(s), kept in [0.1 s, 0.5 s]; a failed test
     gives the quadratic positive curvature, so the minimiser exists.  A
-    degenerate trial section halves s.  A start gives up after 25 trials of
-    one line search, and stops after ``GRADIENT_MAX_ITERS`` steps or once its
-    residual is below ``POLISH_TRIGGER``.
+    degenerate trial section halves s.  An accepted step doubles s for the
+    next line search, up to ``STEP_INIT``.  A start gives up after 25 failed
+    trials in a row, and stops after ``GRADIENT_MAX_ITERS`` steps or once its
+    residual is below ``POLISH_TRIGGER``; ``_lockstep`` runs the rounds, one
+    ``evaluate`` call each.
 
-    The starts advance in lockstep: each round evaluates the current trial of
-    every live start in one ``evaluate`` call.  Returns the last iterates,
-    their residual vectors centroid - touch point, which start the polish,
-    each start's number of accepted steps, and the mask of starts refused
-    because their own section is degenerate (NaN residuals, no steps).
-    ``trace``, if given, holds one list per start, which receives the
-    objective value at each of its accepted iterates, the start first.
+    Returns the last iterates, their residual vectors centroid - touch point,
+    which start the polish, each start's number of accepted steps, and the
+    mask of starts refused because their own section is degenerate (NaN
+    residuals, no steps).  ``trace``, if given, holds one list per start,
+    which receives the objective value at each of its accepted iterates, the
+    start first.
     """
     z = np.array(z, dtype=float)
     m = len(z)
@@ -213,50 +240,42 @@ def _gradient_stage(K, L, z, sign, trace=None):
     z[moving] = ev.direction[moving]
     f, g, res = ev.f_value.copy(), ev.tangential_gradient.copy(), ev.residual.copy()
     r = ev.section.centroid - ev.touch_point
-    steps = np.zeros(m, dtype=int)
-    step = np.full(m, STEP_INIT)  # the first trial length of each start's next line search
-    d, gn, phi0, s, trials = np.empty_like(z), np.empty(m), np.empty(m), np.empty(m), np.zeros(m, dtype=int)
-    live = ~refused & moving
+    s = np.full(m, STEP_INIT)  # each start's current trial length
+    d, gn, phi0 = np.empty_like(z), np.empty(m), np.empty(m)
     if trace is not None:
         for i in np.flatnonzero(~refused):
             trace[i].append(f[i])
 
-    def line_search(rows):
-        """Start a line search on each of ``rows`` not yet done; end the others."""
-        go = (res[rows] >= POLISH_TRIGGER) & (steps[rows] < GRADIENT_MAX_ITERS)
-        live[rows[~go]] = False
-        rows = rows[go]
+    def begin(rows):
         # |g| > 0: the centroid and the touch point lie on the supporting plane, so the
         # residual, at least POLISH_TRIGGER here, is tangential, and |g| is the measure times it
         gs = sign[rows, None] * g[rows]
         gn[rows] = np.linalg.norm(gs, axis=1)
         d[rows] = -gs / gn[rows, None]
         phi0[rows] = sign[rows] * f[rows]
-        s[rows] = step[rows]
-        trials[rows] = 0
 
-    line_search(np.flatnonzero(live))
-    while live.any():
-        rows = np.flatnonzero(live)
+    def attempt(rows):
         z_new = z[rows] + s[rows, None] * d[rows]
         z_new /= np.linalg.norm(z_new, axis=1, keepdims=True)
         ev = evaluate(K, L, z_new)
-        trials[rows] += 1
         phi = sign[rows] * ev.f_value
         ok = phi <= phi0[rows] - 1e-4 * s[rows] * gn[rows]  # False on a degenerate (NaN) trial
         won, lost = rows[ok], rows[~ok]
         z[won], f[won], g[won], res[won] = ev.direction[ok], ev.f_value[ok], ev.tangential_gradient[ok], ev.residual[ok]
         r[won] = ev.section.centroid[ok] - ev.touch_point[ok]
-        step[won] = np.minimum(2.0 * s[won], STEP_INIT)
-        steps[won] += 1
+        s[won] = np.minimum(2.0 * s[won], STEP_INIT)
         if trace is not None:
             for i in won:
                 trace[i].append(f[i])
         sl, phil, gnl = s[lost], phi[~ok], gn[lost]
         quadratic = gnl * sl * sl / (2.0 * (phil - phi0[lost] + gnl * sl))
         s[lost] = np.where(np.isnan(phil), 0.5 * sl, np.minimum(np.maximum(quadratic, 0.1 * sl), 0.5 * sl))
-        live[lost[trials[lost] == 25]] = False
-        line_search(won)
+        return ok
+
+    def more(rows):
+        return res[rows] >= POLISH_TRIGGER
+
+    steps = _lockstep(~refused & moving, more, begin, attempt, 25, GRADIENT_MAX_ITERS)
     return z, r, steps, refused
 
 
@@ -321,44 +340,40 @@ def _lstsq(J, b):
 def _polish(K, L, z, r):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart.
 
-    ``z`` is an (m, n) stack of starts and ``r`` their residual vectors.  The
-    starts advance in lockstep: each round, the starts that begin a Newton
-    step take their charts from one ``_newton_chart`` call, and every live
-    start tries its damped step in one ``_residual_vector`` call.  A trial
-    that does not lower the residual, or whose section is refused, halves
-    the damping; a start stops after 12 such trials of one step, after
-    ``POLISH_MAX_ITERS`` steps, or at a quarter of ``RESIDUAL_TOL``.  Returns
-    the last directions, their residual norms and each start's number of
-    accepted steps.
+    ``z`` is an (m, n) stack of starts and ``r`` their residual vectors.  A
+    Newton step takes its chart from ``_newton_chart`` and starts undamped.
+    A trial that does not lower the residual, or whose section is refused,
+    halves the damping; a start stops after 12 such trials in a row, after
+    ``POLISH_MAX_ITERS`` steps, or at a quarter of ``RESIDUAL_TOL``.
+    ``_lockstep`` runs the rounds: one ``_newton_chart`` call for the starts
+    that begin a step and one ``_residual_vector`` call for every trial.
+    Returns the last directions, their residual norms and each start's
+    number of accepted steps.
     """
     z, r = np.array(z, dtype=float), np.array(r, dtype=float)
-    m = len(z)
     rn = np.linalg.norm(r, axis=1)
-    steps, trials = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    base, step, damping = np.empty_like(z), np.empty_like(z), np.ones(m)
-    fresh = rn > 0.25 * RESIDUAL_TOL  # starts that begin a Newton step this round
-    live = fresh.copy()
-    while live.any():
-        rows = np.flatnonzero(fresh)
-        if rows.size:
+    base, step, damping = np.empty_like(z), np.empty_like(z), np.ones(len(z))
+
+    def begin(rows):
+        if rows.size:  # a call on no rows would still count in the traced call counts
             Q, J, base[rows] = _newton_chart(K, L, z[rows])
             step[rows] = (Q @ _lstsq(J, -r[rows])[:, :, None])[:, :, 0]
-            damping[rows], trials[rows] = 1.0, 0
-        rows = np.flatnonzero(live)
+            damping[rows] = 1.0
+
+    def attempt(rows):
         z_new = _chart_move(L, base[rows], damping[rows, None] * step[rows])
         r_new = _residual_vector(K, L, z_new)
         rn_new = np.linalg.norm(r_new, axis=1)
         better = rn_new < rn[rows]  # False on a refused (NaN) trial
-        trials[rows] += 1
-        won, lost = rows[better], rows[~better]
+        won = rows[better]
         z[won], r[won], rn[won] = z_new[better], r_new[better], rn_new[better]
-        steps[won] += 1
-        damping[lost] *= 0.5
-        live[lost[trials[lost] == 12]] = False
-        fresh[:] = False
-        more = (rn[won] > 0.25 * RESIDUAL_TOL) & (steps[won] < POLISH_MAX_ITERS)
-        fresh[won[more]] = True
-        live[won[~more]] = False
+        damping[rows[~better]] *= 0.5
+        return better
+
+    def more(rows):
+        return rn[rows] > 0.25 * RESIDUAL_TOL
+
+    steps = _lockstep(np.ones(len(z), dtype=bool), more, begin, attempt, 12, POLISH_MAX_ITERS)
     return z, rn, steps
 
 

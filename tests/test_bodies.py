@@ -80,7 +80,7 @@ class TestSupport:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_row_does_not_depend_on_its_batch(self, dim):
-        # a direction alone, as a stack of one and as a row of 64 gives the same bits
+        # a direction alone, as a stack of one and as a row of 64, in C or Fortran order, gives the same bits
         rng = np.random.default_rng(dim)
         rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
         normals = rng.normal(size=(2 * dim, dim))
@@ -97,10 +97,12 @@ class TestSupport:
         U = rng.normal(size=(64, dim))
         for body in bodies:
             for f in [body.support] + ([body.touch_point] if body.strictly_convex else []):
-                stack = f(U)
+                # the same stack in Fortran order, as a transposed view gives, rounds the same
+                stack, fortran = f(U), f(np.asfortranarray(U))
                 for i, u in enumerate(U):
                     alone = np.asarray(f(u)).tobytes()
                     assert alone == f(u[None])[0].tobytes() == stack[i].tobytes(), (body, f.__name__, i)
+                    assert fortran[i].tobytes() == alone, (body, f.__name__, i)
 
 
 class TestTouchPoint:

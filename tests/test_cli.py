@@ -9,6 +9,7 @@ import pytest
 from capsec import cli
 from capsec.bodies import Ball, Ellipsoid
 from capsec.cli import main
+from capsec.functional import evaluate
 from capsec.reporting import SCHEMA_VERSION, load_schema, report_to_dict
 from capsec.solver import SolverConfig, solve
 
@@ -83,6 +84,20 @@ class TestCheckGradient:
             ]
         )
         assert code == 2
+
+    def test_refused_direction_fails_the_check(self, square_spec, tmp_path, capsys, monkeypatch):
+        # a refused section gives a NaN row; a worst error that dropped it would pass
+        def refusing(K, L, z):
+            ev = evaluate(K, L, z)
+            ev.tangential_gradient[2] = np.nan
+            return ev
+
+        monkeypatch.setattr(cli, "evaluate", refusing)
+        out = tmp_path / "grad.csv"
+        assert main(["check-gradient", "--spec", str(square_spec), "--directions", "5", "--out", str(out)]) == 2
+        rows = list(csv.DictReader(out.open()))
+        assert [r["rel_error"] == "nan" for r in rows] == [False, False, True, False, False]
+        assert "max relative error nan" in capsys.readouterr().out
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.spec"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube, sphere_net
-from capsec.families import fit_inside, random_ellipsoid, random_instance, random_rotation
+from capsec.families import FAMILIES, fit_inside, random_ellipsoid, random_instance, random_rotation
 import capsec.solver as solver_module
 from capsec.functional import (
     DegenerateSectionError,
@@ -14,6 +14,7 @@ from capsec.functional import (
     _supporting_plane,
     _touch_and_section,
     evaluate,
+    fd_tangential_gradient,
 )
 from capsec.sections import SectionData, SectionMethod, cap_volume, hyperplane_chart, section, section_partials
 from capsec.solver import (
@@ -27,6 +28,7 @@ from capsec.solver import (
     _classify,
     _newton_chart,
     _gradient_stage,
+    _lockstep,
     _polish,
     _residual_vector,
     _start_directions,
@@ -623,6 +625,15 @@ class TestLockstep:
                 Qi, Ji, bi = _newton_chart(K, L, zi)
                 assert Q[i].tobytes() == Qi.tobytes() and rows_match(J[i], Ji) and rows_match(base[i], bi)
                 assert indices[i] == _classify(K, L, zi[None])[0]
+            # the same stack in Fortran order, as a transposed view gives, rounds the same
+            zf = np.asfortranarray(z)
+            Hf, _ = _supporting_plane(K, L, zf)
+            sf, evf = section(K, Hf), evaluate(K, L, zf)
+            assert rows_match(cap_volume(K, Hf), caps) and rows_match(hyperplane_chart(zf), charts)
+            assert rows_match(sf.measure, sections.measure) and rows_match(sf.centroid, sections.centroid)
+            for field in ("f_value", "touch_point", "tangential_gradient", "residual"):
+                assert rows_match(getattr(evf, field), getattr(ev, field)), field
+            assert rows_match(_newton_chart(K, L, zf)[1], J)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("outer", OUTER_KINDS)
@@ -635,6 +646,17 @@ class TestLockstep:
             z0 /= np.linalg.norm(z0, axis=1, keepdims=True)
             signs = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
             self.check_stages(K, L, z0, signs)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fd_gradient_rows_match_single_calls(self, family, dim):
+        # the perturbed directions of all rows go through one stack, whose rows are C order
+        K, L = random_instance(family, dim, 7)
+        z = np.random.default_rng(dim).normal(size=(40, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        stacked = fd_tangential_gradient(K, L, z)
+        for i, zi in enumerate(z):
+            assert stacked[i].tobytes() == fd_tangential_gradient(K, L, zi).tobytes(), i
 
     def test_pairs_are_classified_in_one_call(self, monkeypatch):
         # the pair phase is one stacked call, and each pair holds its direction's own bits
@@ -686,6 +708,50 @@ class TestLockstep:
             assert steps1[0] == polish_steps[i] and rows_match(zp[i], zp1[0])
             assert rows_match(res[i], res1[0])
         return refused
+
+
+class TestLockstepDriver:
+    """``_lockstep`` under scripted rules: which rows begin a step, which try one, and when a row stops."""
+
+    def test_scripted_rows(self):
+        # row 0 is not live; row 1 accepts every trial and stops at max_steps; row 2 fails,
+        # accepts, then fails max_trials in a row; row 3 stops when ``more`` fails after one
+        # step; row 4 fails ``more`` at the outset
+        outcomes = {1: iter([True] * 5), 2: iter([False, True, False, False]), 3: iter([True])}
+        limit = {1: 99, 2: 99, 3: 1, 4: 0}  # ``more`` holds below this many accepted steps
+        accepted = dict.fromkeys(range(5), 0)
+        begun, tried = [], []
+
+        def more(rows):
+            return np.array([accepted[i] < limit[i] for i in rows], dtype=bool)
+
+        def begin(rows):
+            if rows.size:
+                begun.append(rows.tolist())
+
+        def attempt(rows):
+            tried.append(rows.tolist())
+            ok = np.array([next(outcomes[i]) for i in rows], dtype=bool)
+            for i in rows[ok]:
+                accepted[i] += 1
+            return ok
+
+        live = np.array([False, True, True, True, True])
+        steps = _lockstep(live, more, begin, attempt, max_trials=2, max_steps=3)
+        assert begun == [[1, 2, 3], [1], [1, 2]]
+        assert tried == [[1, 2, 3], [1, 2], [1, 2], [2]]
+        assert steps.tolist() == [accepted[i] for i in range(5)] == [0, 3, 1, 1, 0]
+        assert live.tolist() == [False, True, True, True, True]  # the caller's mask is not changed
+
+    def test_no_live_rows(self):
+        def never(rows):
+            raise AssertionError("no row is live")
+
+        def anything(rows):
+            return np.ones(len(rows), dtype=bool)
+
+        steps = _lockstep(np.zeros(3, dtype=bool), anything, anything, never, 2, 3)
+        assert steps.tolist() == [0, 0, 0]
 
 
 def make_pair(dim, i=0, morse_index=None):
