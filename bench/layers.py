@@ -16,13 +16,15 @@ of every start from where that stage ends, and ``_classify`` on the
 one-row stack of the pair a descent reaches.  The inner body is a seeded
 random ellipsoid fitted inside K; one more chart case fits an lp-ball with
 p = 3 in a ball, so the boundary chart at L's flat points is timed too.
+Two more cases time the exhaustive oracle ``grid_census`` at resolution
+10^4 on one fixed ``ellipsoid_in_polytope`` instance each at n = 2 and 3.
 """
 
 import numpy as np
 import pytest
 
 from capsec.bodies import Ball, LpBall, VPolytope, cube
-from capsec.families import fit_inside, random_ellipsoid
+from capsec.families import fit_inside, random_ellipsoid, random_instance
 from capsec.functional import _supporting_plane, evaluate, fd_tangential_gradient
 from capsec.sections import cap_volume, hyperplane_chart, section
 from capsec.solver import (
@@ -34,6 +36,7 @@ from capsec.solver import (
     _newton_chart,
     _polish,
     _start_directions,
+    grid_census,
 )
 
 KINDS = ("ball", "ellipsoid", "hpolytope", "vpolytope")
@@ -210,3 +213,10 @@ def test_newton_chart_flat_points(benchmark):
     Q, J, base = benchmark(_newton_chart, K, L, z)
     assert J.shape == (3, 2) and np.isfinite(J).all()
     assert _chart_move(L, base, np.zeros(3)) == pytest.approx(z, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim, seed", [pytest.param(2, 200, id="n2"), pytest.param(3, 100, id="n3")])
+def test_grid_census(benchmark, dim, seed):
+    K, L = random_instance("ellipsoid_in_polytope", dim, seed)
+    census = benchmark(grid_census, K, L, 10_000)
+    assert len(census) >= dim and all(res <= RESIDUAL_TOL for _, res in census)

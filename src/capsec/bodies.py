@@ -7,8 +7,8 @@ construction and is a V-polytope that keeps its own facets.  All bodies are
 centrally symmetric; the polytope constructors enforce this structurally by
 requiring normals / vertices to be closed under negation.
 
-``support``, ``touch_point``, ``touch_point_jacobian``, ``normal`` and
-``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
+``support``, ``gauge``, ``touch_point``, ``touch_point_jacobian``, ``normal``
+and ``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
 and a stack gives one result per row.  Each has one expression per body,
 and a stack is read in C order, so a row equals the call on its direction
 alone bit for bit, in any stack and any memory order.
@@ -56,13 +56,6 @@ def unit_ball_volume(n):
     return float(np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)))
 
 
-def _as_vector(u, dim, name="u"):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (dim,):
-        raise BodyError(f"{name} has shape {u.shape}, expected ({dim},)")
-    return u
-
-
 def _as_directions(u, dim):
     """A vector (n,) or a stack of row vectors (m, n), in C order: matmul rounds by memory layout."""
     u = np.ascontiguousarray(u, dtype=float)
@@ -106,8 +99,8 @@ class ConvexBody:
 
     Subclasses provide ``support``, ``gauge``, ``contains_points``, ``volume``
     and, when strictly convex, ``touch_point`` and ``touch_point_jacobian``.
-    ``support`` takes one direction (n,) and returns a float, or a stack of
-    directions (m, n) and returns their m values.  The touch point, the normal
+    ``support`` and ``gauge`` take one vector (n,) and return a float, or a
+    stack of vectors (m, n) and return their m values.  The touch point, the normal
     map and their derivatives take the same stacks, and return (m, n) points
     and (m, n, n) derivatives.
     """
@@ -174,8 +167,8 @@ class Ball(ConvexBody):
     strictly_convex = True
 
     def __init__(self, radius, dim):
-        if radius <= 0:
-            raise BodyError("ball radius must be positive")
+        if not 0.0 < radius < np.inf:  # NaN fails too
+            raise BodyError("ball radius must be positive and finite")
         if dim < 2:
             raise BodyError("dimension must be >= 2")
         self.radius = float(radius)
@@ -202,8 +195,9 @@ class Ball(ConvexBody):
         return self.radius * (np.eye(self.dim) - _outer(x, x)) / nrm[..., None]
 
     def gauge(self, y):
-        y = _as_vector(y, self.dim, "y")
-        return float(np.linalg.norm(y)) / self.radius
+        y = _as_directions(y, self.dim)
+        g = np.sqrt(_dot(y, y)) / self.radius
+        return g if y.ndim == 2 else float(g)
 
     def _contains(self, pts):
         return np.einsum("ij,ij->i", pts, pts) <= self.radius**2
@@ -284,8 +278,9 @@ class Ellipsoid(ConvexBody):
         return (self.inverse_shape - _outer(w, w) / (h * h)) / h
 
     def gauge(self, y):
-        y = _as_vector(y, self.dim, "y")
-        return float(np.sqrt(y @ self.shape_matrix @ y))
+        y = _as_directions(y, self.dim)
+        g = np.sqrt(_dot(y, _apply(self.shape_matrix, y)))
+        return g if y.ndim == 2 else float(g)
 
     def _contains(self, pts):
         return np.einsum("ij,jk,ik->i", pts, self.shape_matrix, pts) <= 1.0
@@ -321,8 +316,8 @@ class LpBall(ConvexBody):
     def __init__(self, p, scale=1.0, dim=2):
         if not (1.0 < p < np.inf):
             raise BodyError("lp exponent must lie in (1, inf)")
-        if scale <= 0:
-            raise BodyError("lp scale must be positive")
+        if not 0.0 < scale < np.inf:
+            raise BodyError("lp scale must be positive and finite")
         if dim < 2:
             raise BodyError("dimension must be >= 2")
         lo, hi = LP_CONDITIONING_RANGE
@@ -392,8 +387,10 @@ class LpBall(ConvexBody):
         return scale[..., None] * ((np.eye(self.dim) - _outer(z, z)) * a[..., None, :] ** (self.p - 2.0))
 
     def gauge(self, y):
-        y = _as_vector(y, self.dim, "y")
-        return float(np.linalg.norm(y, ord=self.p)) / self.scale
+        # the kept axis makes a vector's power an array's, as in ``support``
+        y = _as_directions(y, self.dim)
+        g = np.linalg.norm(y, ord=self.p, axis=-1, keepdims=True)[..., 0] / self.scale
+        return g if y.ndim == 2 else float(g)
 
     def _contains(self, pts):
         return np.sum(np.abs(pts / self.scale) ** self.p, axis=1) <= 1.0
@@ -426,6 +423,8 @@ class VPolytope(ConvexBody):
         if V.shape[1] < 2:
             raise BodyError("dimension must be >= 2")
         self.dim = V.shape[1]
+        if not np.isfinite(V).all():
+            raise BodyError("vertices must be finite")
         if not _closed_under_negation(V, -V):
             raise BodyError("vertex list is not closed under negation")
         try:
@@ -488,9 +487,10 @@ class VPolytope(ConvexBody):
 
     def gauge(self, y):
         # qhull facet equations are not bitwise symmetric; |.| restores exact evenness
-        y = _as_vector(y, self.dim, "y")
+        y = _as_directions(y, self.dim)
         normals, offsets = self.facet_equations
-        return float(np.max(np.abs(normals @ y) / offsets))
+        g = np.max(np.abs(_apply(normals, y)) / offsets, axis=-1)
+        return g if y.ndim == 2 else float(g)
 
     def _contains(self, pts):
         normals, offsets = self.facet_equations
@@ -522,10 +522,10 @@ class HPolytope(VPolytope):
             raise BodyError("normals and offsets must have matching first dimension")
         if N.shape[1] < 2:
             raise BodyError("dimension must be >= 2")
-        if np.any(b <= 0):
-            raise BodyError("all offsets must be positive (origin interior)")
+        if not np.all((b > 0) & (b < np.inf)):  # NaN fails too
+            raise BodyError("all offsets must be positive and finite (origin interior)")
         norms = np.linalg.norm(N, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise BodyError("facet normals must be unit vectors")
         self.normals = N
         self.offsets = b
@@ -567,6 +567,8 @@ def sphere_net(dim, size=None):
     """
     if size is None:
         size = 4096 if dim <= 4 else 4096 * 2 ** (dim - 4)
+    if not 1 <= size < np.inf:  # NaN fails too
+        raise BodyError("net size must be a positive count")
     return _sphere_net(dim, size)
 
 
@@ -600,8 +602,8 @@ def contains_body(outer, inner, margin=0.0):
     """
     if outer.dim != inner.dim:
         raise BodyError("dimension mismatch")
-    if margin < 0:
-        raise BodyError("margin must be nonnegative")
+    if not 0.0 <= margin < np.inf:  # NaN fails too
+        raise BodyError("margin must be nonnegative and finite")
     if isinstance(outer, VPolytope):
         dirs, bounds = outer.facet_equations
     else:

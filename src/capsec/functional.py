@@ -95,8 +95,8 @@ class FunctionalEval:
 def _unit(z):
     z = np.asarray(z, dtype=float)
     nrm = np.sqrt((z * z).sum(axis=-1, keepdims=True))
-    if not (nrm > 0).all():
-        raise BodyError("direction must be nonzero")
+    if not ((nrm > 0) & (nrm < np.inf)).all():  # NaN fails too
+        raise BodyError("direction must be finite and nonzero")
     return z / nrm
 
 

@@ -86,11 +86,13 @@ class Hyperplane:
         d = np.ascontiguousarray(self.direction, dtype=float)  # matmul rounds by memory layout
         if d.ndim not in (1, 2) or d.shape[-1] < 2:
             raise BodyError("hyperplane direction must be a vector in R^n, n >= 2, or a stack of them")
-        if (np.abs(np.sqrt((d * d).sum(axis=-1)) - 1.0) > _UNIT_TOL).any():
+        if not (np.abs(np.sqrt((d * d).sum(axis=-1)) - 1.0) <= _UNIT_TOL).all():  # NaN fails too
             raise BodyError("hyperplane direction must be a unit vector (|1 - |d|| <= 1e-12)")
         t = np.asarray(self.offset, dtype=float)
         if t.shape != d.shape[:-1]:
             raise BodyError(f"offset has shape {t.shape}, expected one per direction {d.shape[:-1]}")
+        if not np.isfinite(t).all():
+            raise BodyError("hyperplane offset must be finite")
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "offset", float(t) if d.ndim == 1 else t)
 

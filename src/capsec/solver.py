@@ -9,6 +9,8 @@ against the dimension lower bound.  Both stages are rules for one round
 loop, ``_lockstep``, which advances every start together, one stacked call
 per round, so a start takes the steps it would take alone, bit for bit.
 The distinct pairs are then evaluated and classified in one call each.
+The exhaustive grid oracle bisects its brackets on the same loop, and
+shares the canonical form and the deduplication of converged rows.
 
 The residual's Jacobian J, in the polish's chart Q, is exact: it is
 composed from the section's centroid partials and the Hessian of L's
@@ -30,6 +32,7 @@ import numpy as np
 
 from .bodies import BodyError, _dot, sphere_net
 from .functional import (
+    DegenerateSectionError,
     _require_measure,
     _supporting_plane,
     _touch_and_section,
@@ -132,33 +135,33 @@ class TheoremReport:
 
 
 def _canonical(z):
-    """Representative of {z, -z} whose first non-negligible coordinate is positive."""
-    for zi in z:
-        if abs(zi) > CANONICAL_TOL:
-            return -z if zi < 0 else z
-    return z
+    """Each row's representative of {z, -z}: its first coordinate beyond ``CANONICAL_TOL`` is positive.
 
-
-def _projective_angle(a, b):
-    return float(np.arccos(min(1.0, abs(float(a @ b)))))
-
-
-def _dedup(candidates):
-    """Merge (direction, residual) candidates into distinct pairs.
-
-    Greedy in residual order: a candidate joins the first kept direction within
-    ``DEDUP_ANGLE`` of it.  Returns ``[direction, residual, count]`` per pair.
+    ``z`` is an (m, n) stack; a row with no such coordinate is kept as it is.
     """
-    clusters = []
-    for idx in np.argsort([r for _, r in candidates], kind="stable"):
-        z, res = candidates[idx]
-        for c in clusters:
-            if _projective_angle(z, c[0]) <= DEDUP_ANGLE:
-                c[2] += 1
-                break
-        else:
-            clusters.append([z, res, 1])
-    return clusters
+    big = np.abs(z) > CANONICAL_TOL
+    lead = np.where(big, z, 0.0)[np.arange(len(z)), np.argmax(big, axis=1)]
+    return np.where(lead[:, None] < 0.0, -z, z)
+
+
+def _dedup(z, res):
+    """Merge the rows of a stack of unit directions into distinct pairs: the kept row indices and their counts.
+
+    Greedy in ``res`` order: a row joins the first kept row within the
+    projective angle ``DEDUP_ANGLE`` of it, and is kept otherwise.  So the
+    first row not yet merged is kept, and takes every later row within that
+    angle of it.  The kept rows come in ``res`` order, each with the number
+    of rows it stands for.
+    """
+    kept, counts = [], []
+    rest = np.argsort(res, kind="stable")  # the rows not yet merged, in res order
+    while rest.size:
+        near = np.arccos(np.minimum(1.0, np.abs(_dot(z[rest], z[rest[0]])))) <= DEDUP_ANGLE
+        near[0] = True  # the kept row itself
+        kept.append(rest[0])
+        counts.append(np.count_nonzero(near))
+        rest = rest[~near]
+    return np.array(kept, dtype=int), np.array(counts, dtype=int)
 
 
 def _start_directions(dim, count, seed):
@@ -417,25 +420,24 @@ def solve(K, L, config=None):
     z, r, steps, refused = _gradient_stage(K, L, starts, signs)
     z, res, polish_steps = _polish(K, L, z[~refused], r[~refused])
     iterations = int(steps.sum() + polish_steps.sum())
-    # copied rows: a report keeps its pairs' directions, not the whole stack of starts
-    candidates = [(_canonical(zi.copy()), float(ri)) for zi, ri in zip(z, res) if ri <= RESIDUAL_TOL]
-
-    clusters = _dedup(candidates)
-    z = np.reshape([c[0] for c in clusters], (-1, n))
-    ev, indices = evaluate(K, L, z), _classify(K, L, z)
-    # copied rows, as above
+    converged = res <= RESIDUAL_TOL
+    z, res = _canonical(z[converged]), res[converged]
+    kept, basins = _dedup(z, res)
+    directions = z[kept]
+    ev, indices = evaluate(K, L, directions), _classify(K, L, directions)
+    # copied rows: a report keeps its pairs' points, not the evaluation's arrays
     pairs = [
         CriticalPair(
             direction=zi,
             f_value=float(f),
-            residual=float(res),
+            residual=float(ri),
             centroid=centroid.copy(),
             touch_point=touch.copy(),
             morse_index=index,
             basin_count=basin,
         )
-        for (zi, res, basin), f, centroid, touch, index in zip(
-            clusters, ev.f_value, ev.section.centroid, ev.touch_point, indices
+        for zi, ri, basin, f, centroid, touch, index in zip(
+            directions, res[kept], basins.tolist(), ev.f_value, ev.section.centroid, ev.touch_point, indices
         )
     ]
     # rounded keys, so pairs that tie in f by symmetry are not ordered by last-bit noise
@@ -444,8 +446,8 @@ def solve(K, L, config=None):
     # in the order report.json lists them
     diagnostics = {
         "starts": count,
-        "converged": len(candidates),
-        "dedup_merges": len(candidates) - len(clusters),
+        "converged": len(z),
+        "dedup_merges": len(z) - len(kept),
         "iterations": iterations,
         "degenerate_rejections": int(refused.sum()),
     }
@@ -458,64 +460,80 @@ def solve(K, L, config=None):
 def grid_census(K, L, resolution=10_000):
     """Exhaustive critical-pair search on a dense grid (n = 2 or 3).
 
-    n=2: signed tangential gradient on a uniform half-circle grid, sign-change
-    bracketing plus bisection.  n=3: icosahedral-refinement mesh on the
-    hemisphere, residual local minima polished to tolerance.
-    Returns the distinct (canonical direction, residual), merged within
-    ``DEDUP_ANGLE`` as in ``solve``, in direction order.
+    n=2: the signed tangential gradient on a uniform half-circle grid; every
+    sign-change bracket is bisected at once, one stacked call per round of
+    ``_lockstep``, and a grid angle where it is exactly 0 is taken as found.
+    n=3: an icosahedral-refinement mesh of the sphere; the residual's local
+    minima on it are polished to tolerance.  The converged directions are
+    made canonical and merged within ``DEDUP_ANGLE`` as in ``solve``.
+    Returns the distinct (canonical direction, residual), in direction order.
     """
     validate_instance(K, L)
     if K.dim == 2:
-        results = _grid_census_2d(K, L, resolution)
+        z, res = _grid_census_2d(K, L, resolution)
     elif K.dim == 3:
-        results = _grid_census_3d(K, L, resolution)
+        z, res = _grid_census_3d(K, L, resolution)
     else:
         raise BodyError("grid_census supports n in {2, 3} only")
-    return sorted(((z, res) for z, res, _ in _dedup(results)), key=lambda zr: tuple(zr[0]))
+    converged = res <= RESIDUAL_TOL
+    z, res = _canonical(z[converged]), res[converged]
+    kept, _ = _dedup(z, res)
+    return sorted(zip(z[kept], res[kept].tolist()), key=lambda zr: tuple(zr[0]))
 
 
 def _signed_gradient_2d(K, L, theta):
-    z = np.array([np.cos(theta), np.sin(theta)])
-    w = np.array([-z[1], z[0]])
-    r = _residual_vector(K, L, z)
-    return float(r @ w), float(np.linalg.norm(r)), z
+    """Per angle: the residual along the circle's tangent, the residual's norm, and the direction.
+
+    A refused section raises ``DegenerateSectionError``, as the bracketing
+    needs every value.
+    """
+    z = np.column_stack([np.cos(theta), np.sin(theta)])
+    _, _, touch, sec = _touch_and_section(K, L, z)
+    r = sec.centroid - touch
+    refused = np.flatnonzero(np.isnan(r[:, 0]))
+    if refused.size:
+        raise DegenerateSectionError(z[refused[0]], sec.measure[refused[0]])
+    return _dot(r, np.column_stack([-z[:, 1], z[:, 0]])), np.sqrt(_dot(r, r)), z
 
 
 def _grid_census_2d(K, L, resolution):
-    thetas = np.arange(resolution) * (np.pi / resolution)
-    z = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    r = _residual_vector(K, L, z)
-    if np.isnan(r).any():
-        i = int(np.flatnonzero(np.isnan(r[:, 0]))[0])
-        _residual_vector(K, L, z[i])  # raises, as the bracketing needs every grid value
-    svals = _dot(r, np.column_stack([-z[:, 1], z[:, 0]]))
-    results = []
-    for i in range(resolution):
-        a, b = thetas[i], thetas[i] + np.pi / resolution
-        sa, sb = svals[i], svals[(i + 1) % resolution]  # periodic with period pi
-        if sa == 0.0:
-            _, res, z = _signed_gradient_2d(K, L, a)
-            results.append((_canonical(z), res))
-            continue
-        if sa * sb >= 0.0:
-            continue
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            sm, res, z = _signed_gradient_2d(K, L, mid)
-            if res <= 0.25 * RESIDUAL_TOL or b - a < 1e-15:
-                break
-            if sa * sm <= 0.0:
-                b, sb = mid, sm
-            else:
-                a, sa = mid, sm
-        _, res, z = _signed_gradient_2d(K, L, 0.5 * (a + b))
-        if res <= RESIDUAL_TOL:
-            results.append((_canonical(z), res))
-    return results
+    """The grid's exact zeros and each bracket's bisected zero, in angle order, and their residuals."""
+    width = np.pi / resolution
+    s, res, z = _signed_gradient_2d(K, L, np.arange(resolution) * width)
+    zero, bracket = s == 0.0, s * np.roll(s, -1) < 0.0  # periodic with period pi
+    rows = np.flatnonzero(bracket)
+    a = rows * width
+    b, sa = a + width, s[rows]
+    # the first midpoint is taken to be a, so the first halving keeps [a, b]
+    mid, sm, res_mid = a.copy(), sa.copy(), np.full(len(rows), np.inf)
+
+    def more(i):
+        # the convergence test, on the last midpoint and the bracket it halves
+        return (res_mid[i] > 0.25 * RESIDUAL_TOL) & (b[i] - a[i] >= 1e-15)
+
+    def begin(i):
+        # a bracket keeps its ends until it goes on, so a converged one's 0.5 (a + b) is its last midpoint
+        left = sa[i] * sm[i] <= 0.0
+        a[i], b[i] = np.where(left, a[i], mid[i]), np.where(left, mid[i], b[i])
+        sa[i] = np.where(left, sa[i], sm[i])
+        mid[i] = 0.5 * (a[i] + b[i])
+
+    def attempt(i):
+        sm[i], res_mid[i], _ = _signed_gradient_2d(K, L, mid[i])
+        return np.ones(len(i), dtype=bool)
+
+    _lockstep(np.ones(len(rows), dtype=bool), more, begin, attempt, 1, 80)
+    _, res[rows], z[rows] = _signed_gradient_2d(K, L, 0.5 * (a + b))
+    found = zero | bracket
+    return z[found], res[found]
 
 
 def _icosphere(subdivisions):
-    """Vertices and edges of a subdivided icosahedron on the unit sphere."""
+    """Vertices and edges, as sorted index pairs, of a subdivided icosahedron on the unit sphere.
+
+    Each subdivision adds the normalised midpoint of every edge and splits
+    each face into four.
+    """
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     base = np.array(
         [
@@ -533,30 +551,23 @@ def _icosphere(subdivisions):
             [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
         ]
     )
-    verts = list(base / np.linalg.norm(base, axis=1, keepdims=True))
+    verts = base / np.linalg.norm(base, axis=1, keepdims=True)
     for _ in range(subdivisions):
-        midpoint_cache = {}
-        new_faces = []
+        # the new vertices are numbered in the order the faces first meet their edges
+        pairs = _face_edges(faces)
+        _, first, edge_of = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        first_seen = np.sort(first)
+        ab, bc, ca = (len(verts) + np.searchsorted(first_seen, first[edge_of])).reshape(-1, 3).T
+        m = verts[pairs[first_seen, 0]] + verts[pairs[first_seen, 1]]
+        a, b, c = faces.T
+        faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
+        verts = np.vstack([verts, m / np.sqrt(_dot(m, m))[:, None]])
+    return verts, np.unique(_face_edges(faces), axis=0)
 
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint_cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint_cache[key] = len(verts) - 1
-            return midpoint_cache[key]
 
-        for f in faces:
-            a, b, c = f
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces)
-    edges = set()
-    for f in faces:
-        for i in range(3):
-            a, b = f[i], f[(i + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-    return np.array(verts), sorted(edges)
+def _face_edges(faces):
+    """Each face's edges ab, bc and ca, in turn, as sorted index pairs."""
+    return np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
 
 
 def _grid_census_3d(K, L, resolution):
@@ -568,9 +579,9 @@ def _grid_census_3d(K, L, resolution):
     residuals = np.linalg.norm(vectors, axis=1)
     residuals[np.isnan(residuals)] = np.inf
     # a vertex with a lower neighbour is not a local minimum of the residual, nor is a degenerate one
-    a, b = np.array(edges).T
+    a, b = edges.T
     minima = np.isfinite(residuals)
     minima[a[residuals[b] < residuals[a]]] = False
     minima[b[residuals[a] < residuals[b]]] = False
-    zp, res, _ = _polish(K, L, verts[minima], vectors[minima])
-    return [(_canonical(z.copy()), float(rz)) for z, rz in zip(zp, res) if rz <= RESIDUAL_TOL]
+    z, res, _ = _polish(K, L, verts[minima], vectors[minima])
+    return z, res

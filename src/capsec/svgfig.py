@@ -23,7 +23,7 @@ def _boundary_points(body):
         return body.vertices  # qhull lists planar hull vertices counter-clockwise
     theta = np.linspace(0.0, 2.0 * np.pi, _OUTLINE_SAMPLES, endpoint=False)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return np.array([u / body.gauge(u) for u in dirs])
+    return dirs / body.gauge(dirs)[:, None]
 
 
 def _path(points, to_px, **attrs):

@@ -96,7 +96,7 @@ class TestSupport:
         ]
         U = rng.normal(size=(64, dim))
         for body in bodies:
-            for f in [body.support] + ([body.touch_point] if body.strictly_convex else []):
+            for f in [body.support, body.gauge] + ([body.touch_point] if body.strictly_convex else []):
                 # the same stack in Fortran order, as a transposed view gives, rounds the same
                 stack, fortran = f(U), f(np.asfortranarray(U))
                 for i, u in enumerate(U):
@@ -153,6 +153,12 @@ class TestSphereNet:
         with pytest.raises(ValueError):
             net[0, 0] = 0.0
         assert np.linalg.norm(net, axis=1) == pytest.approx(np.ones(len(net)), abs=1e-15)
+
+    @pytest.mark.parametrize("size", [0, -3, np.nan, np.inf])
+    def test_size_must_be_a_positive_count(self, size):
+        for dim in (2, 3):
+            with pytest.raises(BodyError):
+                sphere_net(dim, size)
 
     def test_sobol_net_drops_the_zero_point(self):
         # the Sobol point (1/2, ..., 1/2) maps to 0 under the normal quantile
@@ -226,6 +232,11 @@ class TestContainsBody:
     def test_margin_validation(self):
         with pytest.raises(BodyError):
             contains_body(Ball(1.0, 2), Ball(0.5, 2), margin=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        with pytest.raises(BodyError, match="finite"):
+            contains_body(Ball(1.0, 2), Ball(0.5, 2), margin=bad)
 
 
 class TestInradius:
@@ -464,6 +475,23 @@ class TestConstruction:
         eye = np.eye(2)
         with pytest.raises(BodyError):
             HPolytope(np.vstack([eye, -eye]), np.array([1.0, 1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ball_and_lp_scale_rejected(self, bad):
+        # NaN compares False with every bound, so a check written as "refuse if <= 0" passes it
+        for make in (lambda: Ball(bad, 2), lambda: LpBall(3.0, bad, 2)):
+            with pytest.raises(BodyError, match="finite"):
+                make()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_polytope_data_rejected(self, bad):
+        eye = np.eye(2)
+        with pytest.raises(BodyError, match="finite"):
+            HPolytope(np.vstack([eye, -eye]), np.array([1.0, 1.0, bad, bad]))
+        with pytest.raises(BodyError, match="finite"):
+            cube(bad, 2)
+        with pytest.raises(BodyError, match="finite"):
+            VPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, bad], [0.0, -bad]])
 
     def test_unbounded_facets_rejected(self):
         # a slab: symmetric, unit normals, positive offsets, but not bounded

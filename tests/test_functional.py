@@ -136,6 +136,14 @@ class TestEvaluate:
         with pytest.raises(BodyError):
             evaluate(cube(1.0, 2), Ball(0.5, 2), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        from capsec.bodies import BodyError
+
+        for z in (np.array([bad, 0.0]), np.array([[0.0, 1.0], [bad, 0.0]])):
+            with pytest.raises(BodyError, match="finite"):
+                evaluate(cube(1.0, 2), Ball(0.5, 2), z)
+
 
 class TestGradientAgreement:
     def test_analytic_matches_finite_difference(self):

@@ -50,6 +50,16 @@ class TestHyperplane:
         with pytest.raises(BodyError):
             Hyperplane(np.array([1.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_plane_rejected(self, bad):
+        # a NaN direction would pass a unit check written as "refuse if the error exceeds the tolerance"
+        with pytest.raises(BodyError, match="unit vector"):
+            Hyperplane(np.array([bad, 0.0]), 0.0)
+        with pytest.raises(BodyError, match="offset must be finite"):
+            Hyperplane(np.array([1.0, 0.0]), bad)
+        with pytest.raises(BodyError, match="offset must be finite"):
+            Hyperplane(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, bad]))
+
     def test_chart_is_orthonormal(self):
         rng = np.random.default_rng(0)
         for dim in (2, 3, 4, 5):

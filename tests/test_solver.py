@@ -6,6 +6,7 @@ import pytest
 
 from capsec.bodies import Ball, BodyError, Ellipsoid, LpBall, VPolytope, cube, sphere_net
 from capsec.families import FAMILIES, fit_inside, random_ellipsoid, random_instance, random_rotation
+import capsec.functional as functional_module
 import capsec.solver as solver_module
 from capsec.functional import (
     DegenerateSectionError,
@@ -18,6 +19,7 @@ from capsec.functional import (
 )
 from capsec.sections import SectionData, SectionMethod, cap_volume, hyperplane_chart, section, section_partials
 from capsec.solver import (
+    CANONICAL_TOL,
     RESIDUAL_TOL,
     STEP_INIT,
     CriticalPair,
@@ -25,7 +27,10 @@ from capsec.solver import (
     TheoremReport,
     _centroid_derivative,
     _chart_move,
+    _canonical,
     _classify,
+    _dedup,
+    _icosphere,
     _newton_chart,
     _gradient_stage,
     _lockstep,
@@ -158,6 +163,21 @@ class TestDedup:
         _, _, report = census_report(2, 106)
         kinds = sorted(p.kind for p in report.pairs)
         assert kinds == ["max", "max", "min", "min"]
+
+    def test_near_antipodes_merge(self):
+        # row 1 is 1e-4 rad from the antipode of row 0 and has the lower residual, so it is kept
+        a = 1e-4
+        z = np.array([[1.0, 0.0], [-np.cos(a), np.sin(a)], [0.0, 1.0], [np.sin(a), np.cos(a)]])
+        kept, counts = _dedup(z, np.array([2e-8, 1e-8, 3e-8, 4e-8]))
+        assert kept.tolist() == [1, 2] and counts.tolist() == [2, 2]
+
+    def test_canonical_skips_negligible_leading_coordinates(self):
+        # a leading coordinate within CANONICAL_TOL of 0, of either sign, does not fix the sign
+        tiny = 0.5 * CANONICAL_TOL
+        z = np.array([[tiny, -0.6, 0.8], [-tiny, 0.6, 0.8], [-tiny, -tiny, -1.0], [tiny, tiny, 1.0], [-0.6, 0.0, 0.8]])
+        c = _canonical(z)
+        assert c.tobytes() == np.array([-z[0], z[1], -z[2], z[3], -z[4]]).tobytes()
+        assert _canonical(z[:0]).shape == (0, 3)
 
 
 class TestPairOrder:
@@ -858,9 +878,58 @@ class TestGridCensus:
         assert census
         assert all(res <= 1e-7 for _, res in census)
 
+    @staticmethod
+    def hexagon():
+        theta = np.pi / 3 * np.arange(6)
+        return VPolytope(1.5 * np.column_stack([np.cos(theta), np.sin(theta)]))
+
     def test_polytope_outer_2d(self):
         # regular hexagon outer body: 6 critical pairs (vertices + edge normals)
-        theta = np.pi / 3 * np.arange(6)
-        K = VPolytope(1.5 * np.column_stack([np.cos(theta), np.sin(theta)]))
-        census = grid_census(K, Ball(0.5, 2), resolution=6000)
+        census = grid_census(self.hexagon(), Ball(0.5, 2), resolution=6000)
         assert len(census) == 6
+
+    def test_brackets_are_bisected_together(self, monkeypatch):
+        # the hexagon's grid has 5 sign-change brackets and one exact zero; one stacked call
+        # evaluates the grid, one each bisection round for every open bracket, and one the ends
+        calls, rounds = [], []
+        touch_and_section, lockstep = solver_module._touch_and_section, solver_module._lockstep
+
+        def counted(K, L, z):
+            calls.append(len(z))
+            return touch_and_section(K, L, z)
+
+        def recorded(*args):
+            steps = lockstep(*args)
+            rounds.append(steps)
+            return steps
+
+        monkeypatch.setattr(solver_module, "_touch_and_section", counted)
+        monkeypatch.setattr(solver_module, "_lockstep", recorded)
+        assert len(grid_census(self.hexagon(), Ball(0.5, 2), resolution=6000)) == 6
+        (steps,) = rounds
+        assert len(steps) == 5
+        assert len(calls) == steps.max() + 2 == 16
+        assert calls[0] == 6000 and calls[-1] == 5
+
+    def test_refused_grid_direction_raises(self, monkeypatch):
+        # with the floor above the square's chords near its diagonals (1.83 at 45 degrees), the
+        # stacked grid call names the first grid direction refused, as a call on it alone does
+        K, L, width = cube(1.0, 2), Ball(0.5, 2), np.pi / 100
+        monkeypatch.setattr(functional_module, "measure_floor", lambda K: 1.95)
+        with pytest.raises(DegenerateSectionError) as info:
+            grid_census(K, L, resolution=100)
+        z = info.value.direction
+        i = int(np.arctan2(z[1], z[0]) / width + 0.5)
+        assert 0 < i < 25 and z.tobytes() == np.array([np.cos(i * width), np.sin(i * width)]).tobytes()
+        with pytest.raises(DegenerateSectionError):
+            evaluate(K, L, z)
+        evaluate(K, L, np.array([np.cos((i - 1) * width), np.sin((i - 1) * width)]))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_icosphere_counts(self, k):
+        verts, edges = _icosphere(k)
+        assert verts.shape == (10 * 4**k + 2, 3) and edges.shape == (30 * 4**k, 2)
+        assert np.linalg.norm(verts, axis=1) == pytest.approx(np.ones(len(verts)), abs=1e-15)
+        # sorted, distinct index pairs, every vertex on some edge
+        assert (edges[:, 0] < edges[:, 1]).all() and len(np.unique(edges, axis=0)) == len(edges)
+        assert np.array_equal(np.unique(edges), np.arange(len(verts)))

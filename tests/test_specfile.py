@@ -135,6 +135,14 @@ class TestErrors:
         msg = self.error_message(BASIC + f"\nsolver.{key} = 1\n")
         assert f"solver.{key}: unknown solver option" in msg
 
+    @pytest.mark.parametrize(
+        "radii", ["K.radius = 1.0\nL.radius = nan", "K.radius = inf\nL.radius = 0.5"], ids=["L-nan", "K-inf"]
+    )
+    def test_non_finite_radius_is_refused_by_the_spec(self, radii):
+        # the body is refused as it is read, not later as a containment-margin violation
+        msg = self.error_message(f"dimension = 2\nK.kind = ball\nL.kind = ball\n{radii}\n")
+        assert "ball radius must be positive and finite" in msg
+
     def test_body_error_becomes_spec_error(self):
         # asymmetric vertex set
         self.error_message(
