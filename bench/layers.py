@@ -1,4 +1,4 @@
-"""Per-layer timings on fixed instances at n = 2, 3, 4.
+"""Per-layer timings on fixed instances at n = 2, 3, 4, and of the direction net at n = 3, 4, 5.
 
     python -m pytest bench/layers.py --benchmark-json=BENCH_layers.json
 
@@ -17,13 +17,15 @@ one-row stack of the pair a descent reaches.  The inner body is a seeded
 random ellipsoid fitted inside K; one more chart case fits an lp-ball with
 p = 3 in a ball, so the boundary chart at L's flat points is timed too.
 Two more cases time the exhaustive oracle ``grid_census`` at resolution
-10^4 on one fixed ``ellipsoid_in_polytope`` instance each at n = 2 and 3.
+10^4 on one fixed ``ellipsoid_in_polytope`` instance each at n = 2 and 3,
+and three time ``sphere_net`` at its default size at n = 3, 4 and 5 with
+its cache cleared every round, as a process's first call builds the net.
 """
 
 import numpy as np
 import pytest
 
-from capsec.bodies import Ball, LpBall, VPolytope, cube
+from capsec.bodies import Ball, LpBall, VPolytope, _sphere_net, cube, sphere_net
 from capsec.families import fit_inside, random_ellipsoid, random_instance
 from capsec.functional import _supporting_plane, evaluate, fd_tangential_gradient
 from capsec.sections import cap_volume, hyperplane_chart, section
@@ -220,3 +222,16 @@ def test_grid_census(benchmark, dim, seed):
     K, L = random_instance("ellipsoid_in_polytope", dim, seed)
     census = benchmark(grid_census, K, L, 10_000)
     assert len(census) >= dim and all(res <= RESIDUAL_TOL for _, res in census)
+
+
+def _fresh_net(dim):
+    _sphere_net.cache_clear()
+    return sphere_net(dim)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5], ids=lambda dim: f"n{dim}")
+def test_sphere_net(benchmark, dim):
+    net = benchmark(_fresh_net, dim)
+    size = 4096 if dim <= 4 else 4096 * 2 ** (dim - 4)
+    assert net.shape == (size - 1, dim)  # the Sobol point that maps to 0 is dropped
+    assert np.linalg.norm(net, axis=1) == pytest.approx(np.ones(size - 1), abs=1e-15)

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 __all__ = [
     "BodyError",
@@ -35,6 +35,7 @@ __all__ = [
     "cube",
     "unit_ball_volume",
     "sphere_net",
+    "SPHERE_NET_MAX_DIM",
     "contains_body",
 ]
 
@@ -557,33 +558,94 @@ def cube(halfwidth, dim):
     return HPolytope(np.vstack([eye, -eye]), np.full(2 * dim, float(halfwidth)))
 
 
+# Joe & Kuo's direction numbers (new-joe-kuo-6.21201; S. Joe and F. Y. Kuo, SIAM J. Sci.
+# Comput. 30 (2008) 2635-2654), as scipy.stats.qmc.Sobol ships them, for dimensions 2 to 32:
+# (poly, (m_1, ..., m_s)) per dimension.  poly is the primitive polynomial of degree s with its
+# leading and constant terms, x^s + a_1 x^(s-1) + ... + a_(s-1) x + 1, so a_k is bit s - k.
+# The first dimension has every direction integer 1 and no row.
+_SOBOL_DIRECTION_NUMBERS = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)), (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)), (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)), (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)), (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)), (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)), (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)), (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)), (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+_SOBOL_BITS = 30
+SPHERE_NET_MAX_DIM = len(_SOBOL_DIRECTION_NUMBERS) + 1
+
+
+def _is_count(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def sphere_net(dim, size=None):
     """Deterministic low-discrepancy net of unit directions, read-only.
 
-    n=2 uses a uniform angle grid; higher dimensions map an unscrambled Sobol
-    sequence through the normal quantile and normalize.  The Sobol point
+    n=2 uses a uniform angle grid; higher dimensions map the unscrambled
+    Sobol sequence, generated here from Joe and Kuo's direction numbers bit
+    for bit as scipy's ``qmc.Sobol`` draws it (``scipy.stats`` is never
+    imported), through the normal quantile and normalize.  The Sobol point
     (1/2, ..., 1/2) maps to the zero vector and is dropped, so for n >= 3 the
-    net has ``size - 1`` rows.  Each net is built once per (dim, size).
+    net has ``size - 1`` rows.  ``dim`` is an integer in
+    [2, ``SPHERE_NET_MAX_DIM``] and ``size`` an integer in [1, 2^30), the
+    30-bit Sobol sequence's length after its all-zeros point; the default
+    size, 4096 * 2^(dim - 4) from n = 4 on, fits up to dim 21.  Each net is
+    built once per (dim, size).
     """
+    if not (_is_count(dim) and 2 <= dim <= SPHERE_NET_MAX_DIM):
+        raise BodyError(f"net dimension must be an integer in [2, {SPHERE_NET_MAX_DIM}]")
     if size is None:
         size = 4096 if dim <= 4 else 4096 * 2 ** (dim - 4)
-    if not 1 <= size < np.inf:  # NaN fails too
-        raise BodyError("net size must be a positive count")
-    return _sphere_net(dim, size)
+    if not (_is_count(size) and 1 <= size < 2**_SOBOL_BITS):
+        raise BodyError(f"net size must be a positive count below 2^{_SOBOL_BITS}")
+    return _sphere_net(int(dim), int(size))
+
+
+def _sobol_points(dim, size):
+    """Points 1 to ``size`` of the unscrambled 30-bit Sobol sequence in Gray-code order, as (size, dim).
+
+    Bit for bit what ``scipy.stats.qmc.Sobol(dim, scramble=False)`` draws
+    after ``fast_forward(1)``.  Each dimension's direction integers follow
+    Bratley and Fox's recursion (ACM TOMS 14, 1988),
+    m_j = 2 a_1 m_(j-1) ^ 4 a_2 m_(j-2) ^ ... ^ 2^s m_(j-s) ^ m_(j-s), and
+    column j holds m_(j+1) * 2^(29 - j).  Point k is the XOR of the columns
+    picked out by the bits of its Gray code k ^ (k >> 1), divided by 2^30.
+    The Gray code of 2^b + i is 2^b plus that of 2^b - 1 - i, so each bit b
+    doubles the points built so far with one vectorised XOR of column b.
+    """
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d, (poly, m) in enumerate(_SOBOL_DIRECTION_NUMBERS[: dim - 1], start=1):
+        s, m = len(m), list(m)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for i in range(1, s):
+                if poly >> (s - i) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        v[d] = m
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    x = np.zeros((size + 1, dim), dtype=np.int64)  # point 0 is all zeros
+    for b in range(size.bit_length()):
+        h = 1 << b
+        x[h : 2 * h] = x[h - 1 :: -1][: size + 1 - h] ^ v[:, b]
+    return x[1:] * 2.0**-_SOBOL_BITS
 
 
 @cache
 def _sphere_net(dim, size):
+    """``sphere_net`` for arguments it has checked, built once per (dim, size) and shared read-only."""
     if dim == 2:
         theta = np.arange(size) * (2.0 * np.pi / size)
         net = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
-        from scipy.special import ndtri
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=dim, scramble=False)
-        sob.fast_forward(1)  # skip the all-zeros point
-        g = ndtri(sob.random(size))
+        g = ndtri(_sobol_points(dim, size))
         norms = np.linalg.norm(g, axis=1)
         keep = norms > 1e-12
         net = g[keep] / norms[keep, None]

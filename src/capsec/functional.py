@@ -94,6 +94,17 @@ class FunctionalEval:
 
 def _unit(z):
     z = np.asarray(z, dtype=float)
+    # coordinates below 2^500 square without overflow, and a sum of squares of at least
+    # 2^-900 lost nothing to underflow: such a stack, every finite nonzero stack in practice,
+    # is normalized as it is, which also proves each row finite and nonzero
+    if np.abs(z).max(initial=0.0) < 2.0**500:  # NaN fails too
+        sq = (z * z).sum(axis=-1, keepdims=True)
+        if sq.min(initial=np.inf) >= 2.0**-900:
+            return z / np.sqrt(sq)
+    # otherwise scale each row by the power of two of its largest coordinate before squaring;
+    # the scaling is exact, so an in-range row keeps its bits
+    _, e = np.frexp(np.abs(z).max(axis=-1, keepdims=True))
+    z = np.ldexp(z, -e)
     nrm = np.sqrt((z * z).sum(axis=-1, keepdims=True))
     if not ((nrm > 0) & (nrm < np.inf)).all():  # NaN fails too
         raise BodyError("direction must be finite and nonzero")

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.special import gammaln
 
+import capsec
 from capsec.bodies import (
+    SPHERE_NET_MAX_DIM,
     Ball,
     BodyError,
     Ellipsoid,
@@ -17,6 +23,7 @@ from capsec.bodies import (
     UnsupportedRepresentation,
     VPolytope,
     contains_body,
+    _sobol_points,
     cube,
     sphere_net,
     unit_ball_volume,
@@ -154,11 +161,58 @@ class TestSphereNet:
             net[0, 0] = 0.0
         assert np.linalg.norm(net, axis=1) == pytest.approx(np.ones(len(net)), abs=1e-15)
 
-    @pytest.mark.parametrize("size", [0, -3, np.nan, np.inf])
+    @pytest.mark.parametrize("size", [0, -3, np.nan, np.inf, 2.5, 8.0, np.float64(8), True, 2**30])
     def test_size_must_be_a_positive_count(self, size):
         for dim in (2, 3):
-            with pytest.raises(BodyError):
+            with pytest.raises(BodyError, match="size"):
                 sphere_net(dim, size)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2.0, 3.0, np.float64(3), True, SPHERE_NET_MAX_DIM + 1])
+    def test_dim_must_be_an_integer_in_range(self, dim):
+        with pytest.raises(BodyError, match="dimension"):
+            sphere_net(dim, 8)
+
+    def test_default_size_is_refused_past_the_sequence_length(self):
+        # 4096 * 2^(22 - 4) = 2^30 points would need a 31st bit
+        with pytest.raises(BodyError, match="size"):
+            sphere_net(22)
+
+    def test_numpy_integers_name_the_same_net(self):
+        assert sphere_net(np.int64(3), np.int32(64)) is sphere_net(3, 64)
+        assert sphere_net(SPHERE_NET_MAX_DIM, np.uint16(64)).shape == (63, SPHERE_NET_MAX_DIM)
+
+    @pytest.mark.parametrize("dim", range(2, SPHERE_NET_MAX_DIM + 1))
+    def test_sobol_points_match_scipy_bit_for_bit(self, dim):
+        from scipy.stats import qmc
+
+        for size in (1, 2, 63, 64, 1000, 4096, 65536):
+            sobol = qmc.Sobol(dim, scramble=False)
+            sobol.fast_forward(1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # sizes that are not powers of 2
+                expected = sobol.random(size)
+            assert _sobol_points(dim, size).tobytes() == expected.tobytes()
+
+    def test_cold_start_leaves_scipy_stats_unloaded(self):
+        # every family's instances at n = 3 and 4, and a 3-D solve, in a fresh interpreter
+        script = (
+            "import sys\n"
+            "from capsec.families import FAMILIES, random_instance\n"
+            "from capsec.solver import SolverConfig, solve\n"
+            "for dim in (3, 4):\n"
+            "    for family in FAMILIES:\n"
+            "        K, L = random_instance(family, dim, 0)\n"
+            "solve(*random_instance('lp_in_ball', 3, 0), SolverConfig(starts=8, seed=0))\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        )
+        src = str(Path(capsec.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_sobol_net_drops_the_zero_point(self):
         # the Sobol point (1/2, ..., 1/2) maps to 0 under the normal quantile

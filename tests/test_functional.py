@@ -136,6 +136,19 @@ class TestEvaluate:
         with pytest.raises(BodyError):
             evaluate(cube(1.0, 2), Ball(0.5, 2), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "z, same", [([1e200, 0.0], [1.0, 0.0]), ([1e-200, 0.0], [1.0, 0.0]), ([3e300, 4e300], [0.6, 0.8])]
+    )
+    def test_direction_at_either_end_of_the_float_range(self, z, same):
+        # each row is scaled by a power of two before squaring: nothing overflows or underflows
+        K, L = cube(1.0, 2), Ball(0.5, 2)
+        expected, single = evaluate(K, L, np.array(same)), evaluate(K, L, np.array(z))
+        stack = evaluate(K, L, np.array([z, same]))
+        for field in ("direction", "f_value", "touch_point", "tangential_gradient", "residual"):
+            want = np.asarray(getattr(expected, field)).tobytes()
+            assert np.asarray(getattr(single, field)).tobytes() == want, field
+            assert all(np.asarray(row).tobytes() == want for row in getattr(stack, field)), field
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_rejected(self, bad):
         from capsec.bodies import BodyError
