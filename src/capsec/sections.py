@@ -137,27 +137,23 @@ def _section_data(measure, centroid, method, single):
 def hyperplane_chart(direction):
     """Deterministic orthonormal basis Q of ``direction^perp`` (columns), (n, n-1).
 
-    Gram-Schmidt on the standard basis with the largest-|component| axis of the
-    direction removed first, so the chart is reproducible across runs.  A
-    stack of directions (m, n) gives one chart per row, (m, n, n-1), each
-    with the bits of its row's own chart.
+    One Householder reflection (Householder, J. ACM 5, 1958): with k the
+    axis of the largest |x_k| and v = x + sign(x_k) e_k, the reflection
+    I - 2 v v^T / v^T v maps e_k to -sign(x_k) x, so its other columns, in
+    axis order, span x^perp.  A stack of directions (m, n) gives one chart per
+    row, (m, n, n-1), each with the bits of its row's own chart.
     """
     x = np.asarray(direction, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
     m, n = x.shape
-    rows = np.arange(m)
-    # the axes other than the dropped one, in order
-    axes = np.argsort(np.arange(n) == np.argmax(np.abs(x), axis=1)[:, None], axis=1, kind="stable")[:, :-1]
-    cols = []
-    for i in axes.T:
-        v = np.zeros((m, n))  # e_i - x_i x from zeros: 0.0 - (+-0.0) keeps off-axis zeros +0.0
-        v[rows, i] = 1.0
-        v -= x[rows, i][:, None] * x
-        for c in cols:
-            v = v - _dot(v, c)[:, None] * c
-        cols.append(v / np.sqrt(_dot(v, v))[:, None])
-    Q = np.stack(cols, axis=-1)
+    rows, k = np.arange(m), np.argmax(np.abs(x), axis=1)
+    v = x.copy()
+    v[rows, k] += np.copysign(1.0, x[rows, k])
+    others = np.arange(n - 1) + (np.arange(n - 1) >= k[:, None])  # the axes other than k, in order
+    w = np.take_along_axis(v, others, axis=1) * (2.0 / _dot(v, v))[:, None]
+    # e_j - w_j v: subtracting from +0.0 keeps off-axis zeros +0.0
+    Q = np.swapaxes(np.eye(n)[others], 1, 2) - v[:, :, None] * w[:, None, :]
     return Q[0] if single else Q
 
 

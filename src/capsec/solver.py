@@ -258,9 +258,7 @@ def _gradient_stage(K, L, z, sign, trace=None):
         phi0[rows] = sign[rows] * f[rows]
 
     def attempt(rows):
-        z_new = z[rows] + s[rows, None] * d[rows]
-        z_new /= np.linalg.norm(z_new, axis=1, keepdims=True)
-        ev = evaluate(K, L, z_new)
+        ev = evaluate(K, L, z[rows] + s[rows, None] * d[rows])  # evaluate normalizes the trials
         phi = sign[rows] * ev.f_value
         ok = phi <= phi0[rows] - 1e-4 * s[rows] * gn[rows]  # False on a degenerate (NaN) trial
         won, lost = rows[ok], rows[~ok]

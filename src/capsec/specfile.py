@@ -101,11 +101,6 @@ def _build_body(prefix, fields, dim):
     raise SpecError(f"field {prefix}.kind: unknown kind {kind!r}")
 
 
-_SOLVER_FIELDS = {
-    "starts": int,
-}
-
-
 def parse_instance_spec(text, overrides=None):
     """Parse spec text into an InstanceSpec.  Raises SpecError with line numbers."""
     assignments = {}
@@ -152,17 +147,16 @@ def parse_instance_spec(text, overrides=None):
     except BodyError as exc:
         raise SpecError(str(exc)) from exc
 
-    solver_kwargs = {"seed": seed}
-    for name, value in groups["solver"].items():
-        conv = _SOLVER_FIELDS.get(name)
-        if conv is None:
+    for name in groups["solver"]:
+        if name != "starts":
             raise SpecError(f"field solver.{name}: unknown solver option")
+    config = SolverConfig(seed=seed)
+    if "starts" in groups["solver"]:
         try:
-            solver_kwargs[name] = conv(value)
+            config.starts = int(groups["solver"]["starts"])
         except ValueError as exc:
-            raise SpecError(f"field solver.{name}: {exc}") from exc
+            raise SpecError(f"field solver.starts: {exc}") from exc
     try:
-        config = SolverConfig(**solver_kwargs)
         config.resolved_starts(dim)
     except BodyError as exc:
         raise SpecError(str(exc)) from exc

@@ -193,6 +193,19 @@ class TestSolve:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "check-gradient"])
+    def test_dimension_past_the_direction_net(self, command, tmp_path, capsys):
+        # the containment check's direction net stops at n = 32: n = 33 is refused before a net is built
+        spec = tmp_path / "big.spec"
+        spec.write_text("dimension = 33\nK.kind = ball\nK.radius = 1.0\nL.kind = ball\nL.radius = 0.5\n")
+        out = tmp_path / "o"
+        argv = [command, "--spec", str(spec), "--out-dir" if command == "solve" else "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "net dimension" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 CUBE_3D = """
 dimension = 3
@@ -328,6 +341,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: capsec")
         assert f"error: {message}\n" in err
+
+    def test_unknown_family(self, capsys):
+        # argparse's choices refuse the family before the census runs
+        with pytest.raises(SystemExit) as exc_info:
+            main(["census", "--family", "bogus"])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: capsec")
+        assert "error: argument --family: invalid choice: 'bogus'" in err
 
 
 class TestCensus:

@@ -424,12 +424,17 @@ class TestWholeArraySlicingIsBitIdentical:
             assert pts.shape == (0, 3)
             assert pts.tobytes() == loop_slice_points(K.vertices, K.edges, d, t).tobytes()
 
-    def test_chart_matches_loop(self):
+    def test_chart_is_an_orthonormal_basis_of_the_complement(self):
         rng = np.random.default_rng(12)
         directions = [unit(rng.normal(size=dim)) for dim in (2, 3, 4, 5) for _ in range(50)]
         directions += [np.eye(4)[1], -np.eye(3)[2], unit([0.0, -1.0, 1.0, 0.0])]
+        ulp = np.finfo(float).eps
         for x in directions:
-            assert hyperplane_chart(x).tobytes() == loop_hyperplane_chart(x).tobytes()
+            Q = hyperplane_chart(x)
+            assert Q.shape == (len(x), len(x) - 1) and not np.isnan(Q).any()
+            assert np.abs(Q.T @ Q - np.eye(len(x) - 1)).max() <= 4 * ulp
+            assert np.abs(Q.T @ x).max() <= 4 * ulp
+            assert Q.tobytes() == hyperplane_chart(x).tobytes()
 
 
 TIE_EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
