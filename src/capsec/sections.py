@@ -5,9 +5,9 @@ computes the cap volume ``vol{y in K : <x, y> >= t}``, the (n-1)-measure of
 ``K ∩ H`` and its centroid.  A polytope section, in any dimension, is a sum
 of cones over the slices of the boundary simplices of the hull built when the
 polytope was constructed, so it builds no hull of its own.  A polytope cap
-volume still takes the hull of the kept vertices and the edge crossings, one
-per call.  An H-polytope is a V-polytope whose vertices were enumerated once
-at construction.  Balls and ellipsoids have closed forms.
+volume still takes a qhull hull of the kept vertices and the edge crossings
+of each plane.  An H-polytope is a V-polytope whose vertices were enumerated
+once at construction.  Balls and ellipsoids have closed forms.
 ``section_partials`` also returns the partial derivatives of the centroid in
 the plane's normal and offset: closed forms for balls and ellipsoids, and
 for polytopes the derivative of the same cone sums.  Other bodies
@@ -17,10 +17,11 @@ cross-validation of the exact paths.
 
 A ``Hyperplane`` may hold a stack of m planes, and ``section``,
 ``section_partials``, ``cap_volume`` and ``hyperplane_chart`` then give one
-result per plane from one array call: the closed forms row by row, and the
-polytope cone sums stacked over every plane's cones.  Only the polytope cap
-volume loops, one qhull hull per plane.  One plane is the m = 1 case of the
-same array code.
+result per plane from one array call: the closed forms row by row, the
+polytope cone sums stacked over every plane's cones, and the polytope cap
+volume's point clouds stacked over every plane's vertices and edges.  The
+one per-plane step left is the cap volume's qhull call on each plane's
+cloud.  One plane is the m = 1 case of the same array code.
 """
 
 from __future__ import annotations
@@ -165,18 +166,6 @@ def _ball_cap_fraction(a, n):
 
 
 # --- polytope slicing ------------------------------------------------------
-
-
-def _slice_points(vertices, edges, d, t):
-    """Points of the polytope on the hyperplane <x,y> = t, given ``d = vertices @ x``.
-
-    Vertices with ``d == t`` come first, then the crossings of edges whose ends
-    lie strictly on opposite sides, in edge order.
-    """
-    cross = (d[edges[:, 0]] - t) * (d[edges[:, 1]] - t) < 0.0
-    i, j = edges[cross].T
-    s = (t - d[i]) / (d[j] - d[i])
-    return np.vstack([vertices[d == t], vertices[i] + s[:, None] * (vertices[j] - vertices[i])])
 
 
 @cache
@@ -344,16 +333,46 @@ def _polytope_centroid_partials(n, cones):
     return dc[..., :n], dc[..., n]
 
 
-def _clipped_polytope_volume(vertices, edges, x, t):
-    """Volume of the polytope clipped to ``<x, y> >= t`` (hull of kept + crossings)."""
-    d = vertices @ x
-    cloud = np.vstack([vertices[d >= t], _slice_points(vertices, edges, d, t)])
-    if len(cloud) <= vertices.shape[1]:
-        return 0.0
+def _hull_volume(cloud):
+    """Volume of the convex hull of ``cloud``; 0.0 where qhull aborts."""
     try:
-        return float(ConvexHull(cloud).volume)
+        return ConvexHull(cloud).volume
     except QhullError:
         return 0.0
+
+
+def _polytope_caps(K, x, t, h):
+    """Volumes of a polytope clipped to ``<x_i, y> >= t_i``, given its support ``h`` on the rows of x.
+
+    A plane with t >= h keeps nothing and one with t <= -h keeps K.  A plane
+    between them keeps the hull of its cloud: its vertices with d >= t, then
+    its vertices with d == t, then the crossings of the edges whose ends lie
+    strictly on opposite sides, in edge order, where ``d = V x``.  Every
+    plane's cloud is built in one stacked pass and grouped by plane, so a
+    qhull hull of each cloud of more than n points is the only per-plane
+    step; a smaller cloud is flat and keeps 0.0.
+    """
+    V, edges, n = K.vertices, K.edges, K.dim
+    volume = np.where(t >= h, 0.0, K.volume())
+    cut = np.flatnonzero((t < h) & (t > -h))
+    volume[cut] = 0.0
+    x, t = x[cut], t[cut]
+    d = _apply(V, x)  # (planes, vertices), rounded as each plane's own V @ x
+    kept_plane, kept = np.nonzero(d >= t[:, None])
+    on_plane, on = np.nonzero(d == t[:, None])
+    s = d[:, edges] - t[:, None, None]  # (planes, edges, 2)
+    cross_plane, cross = np.nonzero(s[..., 0] * s[..., 1] < 0.0)
+    i, j = edges[cross].T
+    di, dj, tc = d[cross_plane, i], d[cross_plane, j], t[cross_plane]
+    crossings = V[i] + ((tc - di) / (dj - di))[:, None] * (V[j] - V[i])
+    # each part is in plane order, so a stable sort by plane keeps kept, on-plane, crossings within a plane
+    plane = np.concatenate([kept_plane, on_plane, cross_plane])
+    cloud = np.concatenate([V[kept], V[on], crossings])[np.argsort(plane, kind="stable")]
+    counts = np.bincount(plane, minlength=len(cut))
+    starts = np.cumsum(counts) - counts
+    rows = np.flatnonzero(counts > n)
+    volume[cut[rows]] = [_hull_volume(cloud[a : a + c]) for a, c in zip(starts[rows].tolist(), counts[rows].tolist())]
+    return volume
 
 
 # --- public operations -----------------------------------------------------
@@ -376,6 +395,11 @@ def cap_volume(K, H, *, support=None):
     ellipsoids; any other body raises ``UnsupportedRepresentation``.
     ``support``, if given, is ``K.support(H.direction)``, which a caller that
     has it passes so it is not computed again.
+
+    A polytope cap is the qhull hull of its plane's cloud, and where qhull
+    aborts on a flat or nearly flat cloud the cap reads 0.0, even for a
+    nonempty cap such as a thin slab.  A qhull-free cone sum for the cap
+    volume (ROADMAP item 3) would mend this.
     """
     _check_plane(K, H)
     x, t, single = _planes(H)
@@ -385,10 +409,7 @@ def cap_volume(K, H, *, support=None):
         # affine reduction: A^{-1/2} maps the unit ball onto K, the cap onto a ball cap
         volume = K.volume() * _ball_cap_fraction(t / _support(K, x, support), K.dim)
     elif isinstance(K, VPolytope):
-        volume = np.array([
-            0.0 if ti >= hi else K.volume() if ti <= -hi else _clipped_polytope_volume(K.vertices, K.edges, xi, ti)
-            for xi, ti, hi in zip(x, t, _support(K, x, support))
-        ])
+        volume = _polytope_caps(K, x, t, _support(K, x, support))
     else:
         raise UnsupportedRepresentation(f"no exact cap volume for {type(K).__name__}; use mc_cap_volume")
     return float(volume[0]) if single else volume

@@ -301,7 +301,7 @@ class TestExactSlicingBeyondFourDimensions:
 
 
 # Reference loops: one slice point per edge and one det per hull facet.  The
-# cap volume's whole-array slice points must reproduce them bit for bit, and
+# stacked cap volume must hand qhull each plane's loop cloud bit for bit, and
 # together they slice a polytope through a qhull hull of the slice in a chart
 # of H: the oracle that the cone sums of ``section`` are held to.
 
@@ -313,6 +313,49 @@ def loop_slice_points(vertices, edges, d, t):
         s = (t - d[i]) / (d[j] - d[i])
         pts.append(vertices[i] + s * (vertices[j] - vertices[i]))
     return np.array(pts) if pts else np.empty((0, vertices.shape[1]))
+
+
+def loop_cap_cloud(K, x, t):
+    """One plane's clipped cloud: the vertices with d >= t, then ``loop_slice_points``, with its own ``V @ x``."""
+    d = K.vertices @ x
+    return np.vstack([K.vertices[d >= t], loop_slice_points(K.vertices, K.edges, d, t)])
+
+
+def loop_cap(K, H):
+    """(cap volume, cloud handed to qhull or None) of one plane."""
+    x, t = H.direction, H.offset
+    h = K.support(x)
+    if t >= h:
+        return 0.0, None
+    if t <= -h:
+        return K.volume(), None
+    cloud = loop_cap_cloud(K, x, t)
+    if len(cloud) <= K.dim:
+        return 0.0, None
+    try:
+        return float(ConvexHull(cloud).volume), cloud
+    except QhullError:
+        return 0.0, cloud
+
+
+def stack(planes):
+    return Hyperplane(np.array([H.direction for H in planes]), np.array([H.offset for H in planes]))
+
+
+def float_bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def check_caps_against_loops(K, planes, monkeypatch):
+    """Stacked and one-plane cap volumes equal ``loop_cap`` byte for byte, and qhull sees exactly its clouds."""
+    expected = [loop_cap(K, H) for H in planes]
+    with monkeypatch.context() as m:
+        calls = count_hull_builds(m)
+        stacked = cap_volume(K, stack(planes))
+    assert [args[0].tobytes() for args in calls] == [c.tobytes() for _, c in expected if c is not None]
+    assert stacked.tobytes() == float_bytes([v for v, _ in expected])
+    assert float_bytes([cap_volume(K, H) for H in planes]) == stacked.tobytes()
+    return expected
 
 
 def loop_chart_polytope_data(chart_pts):
@@ -383,19 +426,11 @@ class TestWholeArraySlicingIsBitIdentical:
         d = verts @ x
         yield Hyperplane(x, float(np.sort(d)[len(d) // 2 - 1]))
 
-    def caps(self, K, planes):
-        """Cap volume bytes per plane: equal bytes means equal bits."""
-        return [np.float64(cap_volume(K, H)).tobytes() for H in planes]
-
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_sections_and_caps_match_loops(self, dim, monkeypatch):
         for K in self.polytopes(dim):
             planes = list(self.planes(K, np.random.default_rng(dim)))
-            fast = self.caps(K, planes)
-            with monkeypatch.context() as m:
-                m.setattr(sections, "_slice_points", loop_slice_points)
-                slow = self.caps(K, planes)
-            assert fast == slow
+            check_caps_against_loops(K, planes, monkeypatch)
             nondegenerate = 0
             for H in planes:
                 sec = section(K, H)
@@ -407,22 +442,51 @@ class TestWholeArraySlicingIsBitIdentical:
                     assert sec.centroid == pytest.approx(centroid, rel=0.0, abs=1e-12)
             assert nondegenerate >= 20
 
-    def test_cube_vertices_on_plane(self):
+    def test_cube_vertices_on_plane(self, monkeypatch):
         # x = (1, 1, 0)/sqrt(2), t = 0 holds the four cube vertices with y1 = -y2
         K = cube(1.0, 3)
-        verts, edges = K.vertices, K.edges
-        d = verts @ unit([1.0, 1.0, 0.0])
-        pts = sections._slice_points(verts, edges, d, 0.0)
-        assert np.count_nonzero(d == 0.0) == 4
-        assert pts.tobytes() == loop_slice_points(verts, edges, d, 0.0).tobytes()
+        H = Hyperplane(unit([1.0, 1.0, 0.0]), 0.0)
+        assert np.count_nonzero(K.vertices @ H.direction == 0.0) == 4
+        [(volume, _)] = check_caps_against_loops(K, [H], monkeypatch)
+        assert volume == pytest.approx(4.0, rel=1e-12)
 
-    def test_plane_without_crossings(self):
+    def test_plane_without_crossings(self, monkeypatch):
         K = random_vpolytope(np.random.default_rng(3), 3)
-        d = K.vertices @ unit([1.0, -2.0, 0.5])
-        for t in (d.max() + 0.1, d.min() - 0.1):
-            pts = sections._slice_points(K.vertices, K.edges, d, t)
-            assert pts.shape == (0, 3)
-            assert pts.tobytes() == loop_slice_points(K.vertices, K.edges, d, t).tobytes()
+        x = unit([1.0, -2.0, 0.5])
+        d = K.vertices @ x
+        planes = [Hyperplane(x, d.max() + 0.1), Hyperplane(x, d.min() - 0.1)]
+        expected = check_caps_against_loops(K, planes, monkeypatch)
+        assert expected == [(0.0, None), (K.volume(), None)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_mixed_stack_keeps_each_planes_cloud(self, dim, monkeypatch):
+        # planes past either support, at the supports, through a vertex, through
+        # vertices with no edge crossing, and generic cuts, shuffled into one
+        # stack: a row without a hull must not shift its neighbours' clouds
+        rng = np.random.default_rng(60 + dim)
+        e1, diagonal = np.eye(dim)[0], unit(np.r_[1.0, 1.0, np.zeros(dim - 2)])
+        cross = VPolytope(np.vstack([np.eye(dim), -np.eye(dim)]))
+        # x = e1, t = 0 holds 2(n-1) vertices of the cross-polytope and crosses none of its edges
+        assert len(loop_cap_cloud(cross, e1, 0.0)) == 1 + 4 * (dim - 1)
+        for K in self.polytopes(dim) + [cross]:
+            planes = []
+            for _ in range(6):
+                x = unit(rng.normal(size=dim))
+                h, d = K.support(x), K.vertices @ x
+                planes += [Hyperplane(x, t) for t in (h, h + 0.3, -h, -h - 0.3, float(np.sort(d)[len(d) // 2]))]
+                planes += [Hyperplane(x, float(rng.uniform(-0.9, 0.9)) * h) for _ in range(2)]
+            planes += [Hyperplane(e1, 0.0), Hyperplane(diagonal, 0.0)]
+            planes = [planes[k] for k in rng.permutation(len(planes))]
+            expected = check_caps_against_loops(K, planes, monkeypatch)
+            # one hull per plane strictly between the supports whose cloud has more than n points
+            cut = [abs(H.offset) < K.support(H.direction) for H in planes]
+            clouds = [loop_cap_cloud(K, H.direction, H.offset) for H, inside in zip(planes, cut) if inside]
+            hulled = [c for _, c in expected if c is not None]
+            assert [c.tobytes() for c in hulled] == [c.tobytes() for c in clouds if len(c) > dim]
+            assert len(hulled) >= 6 * 3 and not all(cut)
+            # a stack with no plane between the supports builds no hull
+            outside = [H for H, inside in zip(planes, cut) if not inside]
+            assert all(c is None for _, c in check_caps_against_loops(K, outside, monkeypatch))
 
     def test_chart_is_an_orthonormal_basis_of_the_complement(self):
         rng = np.random.default_rng(12)
