@@ -12,16 +12,21 @@ and ``normal_jacobian`` take one vector (n,) or a stack of row vectors (m, n),
 and a stack gives one result per row.  Each has one expression per body,
 and a stack is read in C order, so a row equals the call on its direction
 alone bit for bit, in any stack and any memory order.
+
+Importing capsec loads ``scipy.special`` and no other scipy subpackage.
+``scipy.spatial`` loads with the first polytope: ``_bind_scipy`` binds a
+scipy name into a capsec module on its first use there, or on first
+attribute access through that module's PEP 562 ``__getattr__``.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import warnings
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.special import gammaln, ndtri
 
 __all__ = [
@@ -41,6 +46,35 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-9
 LP_CONDITIONING_RANGE = (1.2, 12.0)
+
+
+# where each scipy name bound on first use is defined
+_SCIPY_HOMES = {
+    "ConvexHull": "scipy.spatial",
+    "HalfspaceIntersection": "scipy.spatial",
+    "QhullError": "scipy.spatial",
+    "linprog": "scipy.optimize",
+}
+
+
+def _bind_scipy(namespace, *names):
+    """Bind scipy names into a module namespace, importing their module on first need; returns the last.
+
+    A name the namespace binds already, such as a wrapper patched in by a
+    tracer or a test, is kept.  Call sites bind what they use and then look it
+    up as a module global, so a patched name is the one called.
+    """
+    for name in names:
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(_SCIPY_HOMES[name]), name)
+    return namespace[names[-1]]
+
+
+def __getattr__(name):
+    # PEP 562: getattr(bodies, name) binds the scipy name, so a tracer or test can patch the binding
+    if name in ("ConvexHull", "HalfspaceIntersection"):
+        return _bind_scipy(globals(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BodyError(ValueError):
@@ -428,6 +462,7 @@ class VPolytope(ConvexBody):
             raise BodyError("vertices must be finite")
         if not _closed_under_negation(V, -V):
             raise BodyError("vertex list is not closed under negation")
+        _bind_scipy(globals(), "ConvexHull")
         try:
             hull = ConvexHull(V)
         except Exception as exc:
@@ -533,6 +568,7 @@ class HPolytope(VPolytope):
         # the negation of the halfspace <n, x> <= b is <-n, x> <= b
         if not _closed_under_negation(np.hstack([N, b[:, None]]), np.hstack([-N, b[:, None]])):
             raise BodyError("facet list is not closed under negation")
+        _bind_scipy(globals(), "HalfspaceIntersection")
         try:
             # qhull reports unbounded regions as a degenerate dual hull
             pts = HalfspaceIntersection(np.hstack([N, -b[:, None]]), np.zeros(N.shape[1])).intersections

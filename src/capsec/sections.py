@@ -22,6 +22,10 @@ polytope cone sums stacked over every plane's cones, and the polytope cap
 volume's point clouds stacked over every plane's vertices and edges.  The
 one per-plane step left is the cap volume's qhull call on each plane's
 cloud.  One plane is the m = 1 case of the same array code.
+
+``ConvexHull`` and ``QhullError`` are bound from ``scipy.spatial`` by the
+first polytope cap volume, and no call of this module loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
-from scipy.optimize import linprog  # unused; perfbench/tracer.py wraps this name
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial import HalfspaceIntersection  # unused; perfbench/tracer.py wraps this name
 from scipy.special import betainc
 
 from .bodies import (
@@ -46,6 +47,7 @@ from .bodies import (
     UnsupportedRepresentation,
     VPolytope,
     _apply,
+    _bind_scipy,
     _dot,
     unit_ball_volume,
 )
@@ -65,6 +67,15 @@ __all__ = [
 MC_DEFAULT_SAMPLES = 10**6
 MC_DEFAULT_SEED = 20240811
 _UNIT_TOL = 1e-12
+
+
+def __getattr__(name):
+    # PEP 562: getattr(sections, name) binds the scipy name, so a tracer or test can patch the binding.
+    # Nothing here calls linprog or HalfspaceIntersection; they stay bound on first access for
+    # perfbench/tracer.py, which wraps them, until ROADMAP item 16 deletes them.
+    if name in ("ConvexHull", "QhullError", "HalfspaceIntersection", "linprog"):
+        return _bind_scipy(globals(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SectionMethod(Enum):
@@ -371,6 +382,7 @@ def _polytope_caps(K, x, t, h):
     counts = np.bincount(plane, minlength=len(cut))
     starts = np.cumsum(counts) - counts
     rows = np.flatnonzero(counts > n)
+    _bind_scipy(globals(), "ConvexHull", "QhullError")
     volume[cut[rows]] = [_hull_volume(cloud[a : a + c]) for a, c in zip(starts[rows].tolist(), counts[rows].tolist())]
     return volume
 

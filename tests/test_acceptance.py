@@ -160,7 +160,7 @@ def test_polytope_in_ellipsoid_hull_certifies(verdict, dim):
     )
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_ellipsoid_in_ellipsoid_closed_form(verdict, dim):
     """Ellipsoid in ellipsoid, seeds 0-2: the pairs are the generalized eigenvectors.
 

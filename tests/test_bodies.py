@@ -30,6 +30,18 @@ from capsec.bodies import (
 )
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter on this capsec, failing on a RuntimeWarning; it must exit 0."""
+    src = str(Path(capsec.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def square():
     return VPolytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
@@ -194,8 +206,8 @@ class TestSphereNet:
             assert _sobol_points(dim, size).tobytes() == expected.tobytes()
 
     def test_cold_start_leaves_scipy_stats_unloaded(self):
-        # every family's instances at n = 3 and 4, and a 3-D solve, in a fresh interpreter
-        script = (
+        # every family's instances at n = 3 and 4, and a 3-D solve
+        run_fresh(
             "import sys\n"
             "from capsec.families import FAMILIES, random_instance\n"
             "from capsec.solver import SolverConfig, solve\n"
@@ -205,14 +217,67 @@ class TestSphereNet:
             "solve(*random_instance('lp_in_ball', 3, 0), SolverConfig(starts=8, seed=0))\n"
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
         )
-        src = str(Path(capsec.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
+
+    def test_smooth_bodies_leave_scipy_spatial_and_optimize_unloaded(self):
+        # lp-ball and ellipsoid-in-ellipsoid instances at n = 3, 4, one solve and a stacked cap volume
+        run_fresh(
+            "import sys\n"
+            "import numpy as np\n"
+            "import capsec\n"
+            "from capsec.families import fit_inside, random_ellipsoid\n"
+            "for dim in (3, 4):\n"
+            "    capsec.random_instance('lp_in_ball', dim, 0)\n"
+            "    rng = np.random.default_rng(dim)\n"
+            "    K = random_ellipsoid(rng, dim, (0.6, 1.2))\n"
+            "    L = fit_inside(K, random_ellipsoid(rng, dim, (0.5, 1.0)))\n"
+            "assert len(capsec.solve(K, L, capsec.SolverConfig(starts=16, seed=0)).pairs) == 4\n"
+            "x = capsec.sphere_net(4, 64)\n"
+            "capsec.cap_volume(K, capsec.Hyperplane(x, 0.5 * K.support(x)))\n"
+            "loaded = [m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported'\n"
         )
-        assert run.returncode == 0, run.stderr
+
+    def test_polytopes_load_scipy_spatial_and_not_optimize(self):
+        run_fresh(
+            "import sys\n"
+            "import numpy as np\n"
+            "import capsec\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+            "K, L = capsec.random_instance('ellipsoid_in_polytope', 3, 0)\n"
+            "assert 'scipy.spatial' in sys.modules\n"
+            "capsec.solve(K, L, capsec.SolverConfig(starts=8, seed=0))\n"
+            "x = capsec.sphere_net(3, 64)\n"
+            "capsec.cap_volume(capsec.cube(1.0, 3), capsec.Hyperplane(x, np.zeros(len(x))))\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+
+    def test_hull_counters_patched_before_the_first_polytope(self):
+        # the tracer's contract: getattr binds the scipy class in the module's dict, a patch of
+        # that binding counts every hull built there, and setting the original back restores it
+        run_fresh(
+            "import numpy as np\n"
+            "from capsec import Hyperplane, VPolytope, bodies, cap_volume, sections, sphere_net\n"
+            "counts, originals = {}, {}\n"
+            "for module in (bodies, sections):\n"
+            "    assert 'ConvexHull' not in vars(module)\n"
+            "    original = getattr(module, 'ConvexHull')\n"
+            "    assert vars(module)['ConvexHull'] is original\n"
+            "    counts[module.__name__] = 0\n"
+            "    def counting(*args, _name=module.__name__, _original=original, **kwargs):\n"
+            "        counts[_name] += 1\n"
+            "        return _original(*args, **kwargs)\n"
+            "    module.ConvexHull, originals[module] = counting, original\n"
+            "K = VPolytope.symmetric_hull(sphere_net(3, 16))\n"
+            "H = Hyperplane(sphere_net(3, 32), np.zeros(31))\n"
+            "volumes = cap_volume(K, H)\n"
+            "assert counts == {'capsec.bodies': 1, 'capsec.sections': 31}, counts\n"
+            "for module, original in originals.items():\n"
+            "    module.ConvexHull = original\n"
+            "import scipy.spatial\n"
+            "assert bodies.ConvexHull is sections.ConvexHull is scipy.spatial.ConvexHull\n"
+            "assert cap_volume(K, H).tobytes() == volumes.tobytes()\n"
+            "assert np.allclose(volumes, K.volume() / 2, rtol=1e-12)\n"
+        )
 
     def test_sobol_net_drops_the_zero_point(self):
         # the Sobol point (1/2, ..., 1/2) maps to 0 under the normal quantile
