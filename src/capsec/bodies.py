@@ -13,7 +13,9 @@ and a stack gives one result per row.  Each has one expression per body,
 and a stack is read in C order, so a row equals the call on its direction
 alone bit for bit, in any stack and any memory order.
 
-Importing capsec loads ``scipy.special`` and no other scipy subpackage.
+Importing capsec loads no scipy module: the normal quantile of the direction
+net (``_ndtri``) and the log-gamma of the unit-ball and lp-ball volumes
+(``_lgam``) are ports of Cephes, bit for bit what ``scipy.special`` returns.
 ``scipy.spatial`` loads with the first polytope: ``_bind_scipy`` binds a
 scipy name into a capsec module on its first use there, or on first
 attribute access through that module's PEP 562 ``__getattr__``.
@@ -23,11 +25,11 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
 import warnings
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 __all__ = [
     "BodyError",
@@ -85,10 +87,152 @@ class UnsupportedRepresentation(BodyError):
     """Operation not defined for this representation (e.g. touch point of a polytope)."""
 
 
+# --- Cephes special functions ----------------------------------------------
+# Ports of Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989) as scipy.special runs them, so each returns scipy's bits: the same
+# coefficients, the same order of operations, and the C library's log, which
+# ``math.log`` calls and numpy's vectorised ``np.log`` may round differently.
+
+
+def _polevl(x, coefficients):
+    """c_0 x^N + ... + c_N by Horner's rule, as Cephes ``polevl``."""
+    acc = coefficients[0]
+    for c in coefficients[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x, coefficients):
+    """x^N + c_0 x^(N-1) + ... + c_(N-1), whose leading coefficient 1 is implied, as Cephes ``p1evl``."""
+    acc = x + coefficients[0]
+    for c in coefficients[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _libm_log(x):
+    """The C library's log of each entry of an array."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
+
+
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# ndtri: (w + w^3 P0(w^2)/Q0(w^2)) sqrt(2 pi) with w = y - 1/2, for |w| <= 1/2 - exp(-2)
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# the tails, in z = 1 / sqrt(-2 log y): P1/Q1 for sqrt(-2 log y) in [2, 8), P2/Q2 from 8 on
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _ndtri(p):
+    """The standard normal quantile of each entry of an array, Cephes ``ndtri``.
+
+    An entry p above 1 - exp(-2) is reflected to y = 1 - p, and its result
+    negated; otherwise y = p.  For y above exp(-2) a rational approximation
+    in y - 1/2 holds.  Below it, with x = sqrt(-2 log y), the quantile is
+    -(x - log(x)/x - z P(z)/Q(z)) in z = 1/x, with one rational pair for
+    x < 8 and another from 8 on.  0 gives -inf, 1 gives inf, and an entry
+    outside [0, 1] gives NaN.
+    """
+    p = np.asarray(p, dtype=float)
+    out = np.full(p.shape, np.nan)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = (y > 0.0) & (y <= _EXP_M2)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    far = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    near = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    x = x0 - np.where(x < 8.0, near, far)
+    out[tail] = np.where(upper[tail], x, -x)
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    return out
+
+
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+# Stirling's series from 13 on
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+# log Gamma(2 + x) = x B(x)/C(x) on [0, 1)
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+
+
+def _lgam(x):
+    """log Gamma(x) for a float x > 0, Cephes ``lgam``.
+
+    Below 13 the argument is shifted into [2, 3) by the recurrence
+    Gamma(x + 1) = x Gamma(x), whose factors are collected in z, and a
+    rational approximation gives the rest; from 13 on Stirling's series.
+    """
+    x = float(x)
+    if x < 13.0:
+        z, shift, u = 1.0, 0.0, x
+        while u >= 3.0:
+            shift -= 1.0
+            u = x + shift
+            z *= u
+        while u < 2.0:
+            z /= u
+            shift += 1.0
+            u = x + shift
+        if u == 2.0:
+            return math.log(z)
+        x += shift - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
 @cache
 def unit_ball_volume(n):
     """Volume of the unit Euclidean ball in R^n."""
-    return float(np.exp(0.5 * n * np.log(np.pi) - gammaln(0.5 * n + 1.0)))
+    return float(np.exp(0.5 * n * np.log(np.pi) - _lgam(0.5 * n + 1.0)))
 
 
 def _as_directions(u, dim):
@@ -433,7 +577,7 @@ class LpBall(ConvexBody):
     def volume(self):
         # (2 s Gamma(1+1/p))^n / Gamma(1+n/p)
         n, p = self.dim, self.p
-        logv = n * (np.log(2 * self.scale) + gammaln(1 + 1 / p)) - gammaln(1 + n / p)
+        logv = n * (np.log(2 * self.scale) + _lgam(1 + 1 / p)) - _lgam(1 + n / p)
         return float(np.exp(logv))
 
     def inradius_lower_bound(self):
@@ -506,14 +650,28 @@ class VPolytope(ConvexBody):
 
     @cached_property
     def edges(self):
-        """Sorted index pairs into ``vertices`` of the edges of the boundary simplices.
+        """Sorted index pairs into ``vertices`` of the polytope's edges.
 
-        The pairs may include diagonals of non-simplicial facets; these are
-        harmless for slicing, as their crossing points lie on the slice
-        polytope, never outside it.
+        Each edge is a pair of some boundary simplex.  qhull triangulates a
+        non-simplicial facet into simplices that share its equation, so their
+        pairs also hold the facet's diagonals.  A pair is an edge when the
+        vertices lying on every facet through both of its ends are those two
+        alone: the smallest face holding both is then a segment.  A
+        simplicial polytope keeps every pair.
         """
-        pairs = np.sort(self.boundary_simplices[:, list(itertools.combinations(range(self.dim), 2))], axis=2)
-        return np.unique(pairs.reshape(-1, 2), axis=0)
+        simplices = self.boundary_simplices
+        pairs = np.sort(simplices[:, list(itertools.combinations(range(self.dim), 2))], axis=2)
+        pairs = np.unique(pairs.reshape(-1, 2), axis=0)
+        _, facet = np.unique(self._hull.equations, axis=0, return_inverse=True)
+        facet = facet.ravel()
+        if facet.max() + 1 == len(simplices):
+            return pairs
+        on = np.zeros((len(self.vertices), facet.max() + 1), dtype=bool)  # vertex on facet
+        on[simplices, facet[:, None]] = True
+        through = on[pairs[:, 0]] & on[pairs[:, 1]]  # (pairs, facets)
+        # a vertex is off the smallest face holding a pair when some facet through the pair misses it
+        misses = through.astype(float) @ (~on).T.astype(float)  # (pairs, vertices)
+        return pairs[np.count_nonzero(misses == 0.0, axis=1) == 2]
 
     def support(self, u):
         # V u row by row: a matrix product's BLAS kernel, so its rounding, depends on the stack's size
@@ -681,7 +839,7 @@ def _sphere_net(dim, size):
         theta = np.arange(size) * (2.0 * np.pi / size)
         net = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
-        g = ndtri(_sobol_points(dim, size))
+        g = _ndtri(_sobol_points(dim, size))
         norms = np.linalg.norm(g, axis=1)
         keep = norms > 1e-12
         net = g[keep] / norms[keep, None]

@@ -36,6 +36,7 @@ from .functional import (
     _require_measure,
     _supporting_plane,
     _touch_and_section,
+    _unit,
     evaluate,
     validate_instance,
 )
@@ -230,23 +231,28 @@ def _gradient_stage(K, L, z, sign, trace=None):
     Returns the last iterates, their residual vectors centroid - touch point,
     which start the polish, each start's number of accepted steps, and the
     mask of starts refused because their own section is degenerate (NaN
-    residuals, no steps).  ``trace``, if given, holds one list per start,
-    which receives the objective value at each of its accepted iterates, the
-    start first.
+    residuals, no steps).  A polish-only start (sign 0) takes only its
+    residual, at the unit direction ``evaluate`` would take, and no cap
+    volume.  ``trace``, if given, holds one list per start, which receives
+    the objective value at each of its accepted iterates, the start first; a
+    polish-only start's list stays empty, as its objective is never computed.
     """
     z = np.array(z, dtype=float)
     m = len(z)
     sign = np.broadcast_to(np.asarray(sign, dtype=float), (m,))
-    ev = evaluate(K, L, z)
-    refused = np.isnan(ev.residual)
     moving = sign != 0.0
-    z[moving] = ev.direction[moving]
-    f, g, res = ev.f_value.copy(), ev.tangential_gradient.copy(), ev.residual.copy()
-    r = ev.section.centroid - ev.touch_point
+    f, g, res, r = np.full(m, np.nan), np.full_like(z, np.nan), np.full(m, np.nan), np.empty_like(z)
+    if moving.any():  # a call on no rows would still count in the traced call counts
+        ev = evaluate(K, L, z[moving])
+        z[moving], f[moving], g[moving], res[moving] = ev.direction, ev.f_value, ev.tangential_gradient, ev.residual
+        r[moving] = ev.section.centroid - ev.touch_point
+    if not moving.all():
+        r[~moving] = _residual_vector(K, L, _unit(z[~moving]))
+    refused = np.isnan(r).any(axis=1)
     s = np.full(m, STEP_INIT)  # each start's current trial length
     d, gn, phi0 = np.empty_like(z), np.empty(m), np.empty(m)
     if trace is not None:
-        for i in np.flatnonzero(~refused):
+        for i in np.flatnonzero(moving & ~refused):
             trace[i].append(f[i])
 
     def begin(rows):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 import capsec
 from capsec.bodies import (
@@ -23,6 +23,8 @@ from capsec.bodies import (
     UnsupportedRepresentation,
     VPolytope,
     contains_body,
+    _lgam,
+    _ndtri,
     _sobol_points,
     cube,
     sphere_net,
@@ -218,12 +220,13 @@ class TestSphereNet:
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
         )
 
-    def test_smooth_bodies_leave_scipy_spatial_and_optimize_unloaded(self):
-        # lp-ball and ellipsoid-in-ellipsoid instances at n = 3, 4, one solve and a stacked cap volume
+    def test_smooth_bodies_load_no_scipy(self):
+        # import, lp-ball and ellipsoid-in-ellipsoid instances at n = 3, 4, one solve and a stacked cap volume
         run_fresh(
             "import sys\n"
             "import numpy as np\n"
             "import capsec\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import capsec loaded scipy'\n"
             "from capsec.families import fit_inside, random_ellipsoid\n"
             "for dim in (3, 4):\n"
             "    capsec.random_instance('lp_in_ball', dim, 0)\n"
@@ -233,7 +236,7 @@ class TestSphereNet:
             "assert len(capsec.solve(K, L, capsec.SolverConfig(starts=16, seed=0)).pairs) == 4\n"
             "x = capsec.sphere_net(4, 64)\n"
             "capsec.cap_volume(K, capsec.Hyperplane(x, 0.5 * K.support(x)))\n"
-            "loaded = [m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not loaded, f'{loaded} imported'\n"
         )
 
@@ -283,6 +286,65 @@ class TestSphereNet:
         # the Sobol point (1/2, ..., 1/2) maps to 0 under the normal quantile
         assert len(sphere_net(2, 64)) == 64
         assert len(sphere_net(3, 64)) == len(sphere_net(4, 64)) == 63
+
+
+def ulp_window(x, width=64):
+    """The doubles within ``width`` steps of a positive x on either side, in order."""
+    return (np.array(x, dtype=float).view(np.int64) + np.arange(-width, width + 1)).view(float)
+
+
+class TestCephesPorts:
+    """``_ndtri`` and ``_lgam`` return scipy.special's bits; scipy is only the oracle here."""
+
+    @pytest.mark.parametrize("dim", range(3, SPHERE_NET_MAX_DIM + 1))
+    def test_ndtri_on_the_sobol_nets(self, dim):
+        # the points of a smaller net are the first of a larger one
+        p = _sobol_points(dim, 65536)
+        for size in (64, 4096, 65536):
+            assert _ndtri(p[:size]).tobytes() == ndtri(p[:size]).tobytes()
+
+    def test_ndtri_on_seeded_uniforms(self):
+        u = np.random.Generator(np.random.Philox(key=np.uint64(27))).uniform(size=10**6)
+        assert _ndtri(u).tobytes() == ndtri(u).tobytes()
+
+    def test_ndtri_in_the_tails(self):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(28)))
+        y = 10.0 ** rng.uniform(-300.0, 0.0, size=10**5)
+        y = np.concatenate([y, 1.0 - y, [1e-300, 5e-324, 2.2250738585072014e-308]])
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_ndtri_at_the_ends_and_the_centre(self):
+        y = np.array([0.0, 0.5, 1.0])
+        assert _ndtri(y).tolist() == [-np.inf, 0.0, np.inf]
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+        outside = [-0.5, 1.5, np.nan, np.inf]
+        assert np.isnan(_ndtri(outside)).all() and np.isnan(ndtri(outside)).all()
+
+    @pytest.mark.parametrize("branch", [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0)])
+    def test_ndtri_on_both_sides_of_each_branch_point(self, branch):
+        # y = exp(-2) parts the central and tail approximations, and exp(-32) the two tail ones
+        y = ulp_window(branch)
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+        if branch < 1e-10:  # sqrt(-2 log y) crosses 8 inside the window
+            x = np.sqrt(-2.0 * np.array([np.log(v) for v in y]))
+            assert (x < 8.0).any() and (x >= 8.0).any()
+
+    def test_lgam_on_unit_ball_arguments(self):
+        for n in range(201):
+            assert _lgam(0.5 * n + 1.0) == gammaln(0.5 * n + 1.0)
+
+    def test_lgam_on_lp_ball_arguments(self):
+        for p in np.linspace(1.01, 20.0, 400):
+            for n in range(2, SPHERE_NET_MAX_DIM + 1):
+                assert _lgam(1.0 + n / p) == gammaln(1.0 + n / p)
+            assert _lgam(1.0 + 1.0 / p) == gammaln(1.0 + 1.0 / p)
+
+    def test_lgam_across_its_branches(self):
+        # below 2 and between 3 and 13 the recurrence shifts, from 13 on Stirling's series, from 1000 its
+        # short form, and past 1e8 no correction
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(29)))
+        x = np.concatenate([10.0 ** rng.uniform(-8.0, 10.0, size=2000), [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2e8]])
+        assert [_lgam(v) for v in x] == gammaln(x).tolist()
 
 
 class TestGauge:
@@ -659,14 +721,17 @@ class TestConstruction:
 
 
 def fresh_hull_edges(P):
-    """Edges from a second hull built on ``P.vertices``: a 2-D polygon's sides,
-    otherwise every pair within a hull facet."""
+    """Edges from a second hull built on ``P.vertices``: the vertex pairs whose common facet planes,
+    found within 1e-9 of both ends, have normals of rank n - 1."""
     hull = ConvexHull(P.vertices)
-    if P.dim == 2:
-        pairs = {tuple(sorted(e)) for e in zip(hull.vertices, np.roll(hull.vertices, -1))}
-    else:
-        pairs = {tuple(sorted(e)) for s in hull.simplices for e in itertools.combinations(s, 2)}
-    return np.array(sorted(pairs), dtype=int)
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    on = np.abs(normals @ P.vertices.T + offsets[:, None]) < 1e-9  # (facet planes, vertices)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(P.vertices)), 2)
+        if np.linalg.matrix_rank(normals[on[:, i] & on[:, j]], tol=1e-9) == P.dim - 1
+    ]
+    return np.array(pairs, dtype=int)
 
 
 class TestEdges:
@@ -687,6 +752,8 @@ class TestEdges:
         for P in polytopes:
             assert P.edges.tobytes() == fresh_hull_edges(P).tobytes()
             assert P.edges.shape[1] == 2 and P.edges.max() < len(P.vertices)
+        # no diagonals of the square faces: an n-cube has n 2^(n-1) edges
+        assert len(polytopes[0].edges) == len(polytopes[1].edges) == dim * 2 ** (dim - 1)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_boundary_simplices_tile_the_boundary(self, dim):

@@ -696,6 +696,30 @@ class TestLockstep:
             assert p.centroid.tobytes() == ev.section.centroid.tobytes()
             assert p.touch_point.tobytes() == ev.touch_point.tobytes()
 
+    @pytest.mark.parametrize("make", BENCHMARK_SETTINGS.values(), ids=BENCHMARK_SETTINGS.keys())
+    def test_polish_only_starts_take_no_cap_volume(self, monkeypatch, make):
+        """A sign-0 start gets the residual ``evaluate`` gives at its unit direction, bit for bit, and no objective."""
+        K, L = make()
+        z0 = 3.0 * _start_directions(K.dim, 12, 0)  # off the sphere, so the stage must normalize them
+        signs = np.array([1.0, -1.0, 0.0])[np.arange(len(z0)) % 3]
+        capped = []
+
+        def recording(K, H, *, support=None):
+            capped.append(len(np.atleast_1d(H.offset)))
+            return cap_volume(K, H, support=support)
+
+        monkeypatch.setattr(functional_module, "cap_volume", recording)
+        traces = [[] for _ in z0]
+        z, r, _, refused = _gradient_stage(K, L, z0, signs, trace=traces)
+        assert capped[0] == np.count_nonzero(signs)  # the first evaluate holds the moving starts only
+        ev = evaluate(K, L, z0)
+        still = signs == 0.0
+        assert not refused.any()
+        assert (ev.section.centroid - ev.touch_point)[still].tobytes() == r[still].tobytes()
+        assert z[still].tobytes() == z0[still].tobytes()
+        assert all(not traces[i] for i in np.flatnonzero(still))
+        assert all(traces[i][0] == ev.f_value[i] for i in np.flatnonzero(~still))
+
     def test_needle_rows_are_refused_alone(self, needle_in_cube):
         # the diagonal and the starts whose own section is degenerate are refused
         # in the stack exactly as alone; the other rows go on
