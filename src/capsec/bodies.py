@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-9
+# entries in one block of VPolytope.edges' pair-by-vertex miss counts: 32 MB of floats
+_EDGE_BLOCK = 2**22
 LP_CONDITIONING_RANGE = (1.2, 12.0)
 
 
@@ -668,10 +670,16 @@ class VPolytope(ConvexBody):
             return pairs
         on = np.zeros((len(self.vertices), facet.max() + 1), dtype=bool)  # vertex on facet
         on[simplices, facet[:, None]] = True
-        through = on[pairs[:, 0]] & on[pairs[:, 1]]  # (pairs, facets)
-        # a vertex is off the smallest face holding a pair when some facet through the pair misses it
-        misses = through.astype(float) @ (~on).T.astype(float)  # (pairs, vertices)
-        return pairs[np.count_nonzero(misses == 0.0, axis=1) == 2]
+        off = (~on).T.astype(float)
+        keep = np.empty(len(pairs), dtype=bool)
+        step = max(1, _EDGE_BLOCK // len(self.vertices))  # bounds the (pairs, vertices) block
+        for start in range(0, len(pairs), step):
+            block = pairs[start : start + step]
+            through = on[block[:, 0]] & on[block[:, 1]]  # (pairs, facets)
+            # a vertex is off the smallest face holding a pair when some facet through the pair misses it
+            misses = through.astype(float) @ off  # (pairs, vertices)
+            keep[start : start + step] = np.count_nonzero(misses == 0.0, axis=1) == 2
+        return pairs[keep]
 
     def support(self, u):
         # V u row by row: a matrix product's BLAS kernel, so its rounding, depends on the stack's size
@@ -839,7 +847,11 @@ def _sphere_net(dim, size):
         theta = np.arange(size) * (2.0 * np.pi / size)
         net = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
-        g = _ndtri(_sobol_points(dim, size))
+        # points 1 to size < 2^m pick only Sobol columns 0 to m - 1, so each coordinate is a
+        # multiple of 2^-m: the quantile is taken once per multiple and gathered
+        m = size.bit_length()
+        quantile = _ndtri(np.arange(2**m) * 2.0**-m)
+        g = quantile[(_sobol_points(dim, size) * 2.0**m).astype(np.intp)]
         norms = np.linalg.norm(g, axis=1)
         keep = norms > 1e-12
         net = g[keep] / norms[keep, None]

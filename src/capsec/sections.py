@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from math import ceil, comb, factorial, log2, pi, sqrt
+from math import ceil, comb, factorial, log2
 
 import numpy as np
 
@@ -172,8 +172,6 @@ def hyperplane_chart(direction):
 
 # a closed-form cap whose difference keeps less than this share of its first term takes the tail series
 _CAP_CANCELLATION = 2.0**-10
-# up to this many rows, Python floats row by row cost less than numpy's fixed cost per call
-_ROW_BY_ROW = 8
 
 
 def _ball_cap_fraction(a, n):
@@ -192,26 +190,20 @@ def _ball_cap_fraction(a, n):
     summed in order over as many terms as the stack's largest s^2 needs to
     fall below 2^-55 of its first.  A term below half an ulp of its row's
     sum leaves the sum as it is, so a row keeps its bits in any stack.
-
-    A stack of at most ``_ROW_BY_ROW`` rows is taken row by row in Python
-    floats by the same operations in the same order, numpy's arccos
-    included, so with the same bits.
     """
-    if len(a) > _ROW_BY_ROW:
-        return _stacked_cap_fractions(a, n)
-    return np.array([_one_cap_fraction(v, n) for v in a.tolist()])
-
-
-def _stacked_cap_fractions(a, n):
-    """``_ball_cap_fraction`` of a stack, in numpy arrays."""
     c = np.minimum(np.abs(a), 1.0)
     s2 = (1.0 - c) * (1.0 + c)  # no rounding of c^2 near c = 1
-    b = _cap_coefficients(n)
+    b = [1.0]  # T_(k0 + 2j) = T_k0 b_j s^(2j), up to T_(n+2)
+    for k in range(2 - n % 2, n + 1, 2):
+        b.append(b[-1] * k / (k + 1))
     if n % 2:
         first, whole, total = 1.0, 1.0, 2.0
     else:
         first, whole, total = np.sqrt(s2), np.arccos(c), np.pi
-    cap = _closed_form_cap(c, s2, first, whole, b)
+    acc = b[-2]
+    for coefficient in b[-3::-1]:
+        acc = acc * s2 + coefficient
+    cap = whole - c * (first * acc)
     small = cap < _CAP_CANCELLATION * whole
     if np.count_nonzero(small):  # cheaper than any() on a short stack
         s2, first = s2[small], first if n % 2 else first[small]
@@ -224,38 +216,6 @@ def _stacked_cap_fractions(a, n):
         cap[small] = c[small] * np.cumsum(np.cumprod(terms, axis=1), axis=1)[:, -1]
     cap /= total
     return np.where(a >= 0.0, cap, 1.0 - cap)
-
-
-def _one_cap_fraction(a, n):
-    """``_ball_cap_fraction`` of one float a, in Python floats; a small cap takes the stacked tail series."""
-    c = min(abs(a), 1.0)
-    s2 = (1.0 - c) * (1.0 + c)
-    if n % 2:
-        first, whole, total = 1.0, 1.0, 2.0
-    else:  # numpy's arccos, as a stack takes it, may round otherwise than math.acos
-        first, whole, total = sqrt(s2), float(np.arccos(c)), pi
-    cap = _closed_form_cap(c, s2, first, whole, _cap_coefficients(n))
-    if cap < _CAP_CANCELLATION * whole:
-        return float(_stacked_cap_fractions(np.array([a]), n)[0])
-    cap /= total
-    return cap if a >= 0.0 else 1.0 - cap
-
-
-@cache
-def _cap_coefficients(n):
-    """The b_j with T_(k0 + 2j) = T_k0 b_j s^(2j) in ``_ball_cap_fraction``, up to T_(n+2)."""
-    b = [1.0]
-    for k in range(2 - n % 2, n + 1, 2):
-        b.append(b[-1] * k / (k + 1))
-    return tuple(b)
-
-
-def _closed_form_cap(c, s2, first, whole, b):
-    """theta - c S or 1 - c S, by Horner's rule in s^2, on floats or arrays alike."""
-    acc = b[-2]
-    for coefficient in b[-3::-1]:
-        acc = acc * s2 + coefficient
-    return whole - c * (first * acc)
 
 
 # --- polytope slicing ------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy.spatial import ConvexHull
 from scipy.special import gammaln, ndtri
 
 import capsec
+from capsec import bodies
 from capsec.bodies import (
     SPHERE_NET_MAX_DIM,
     Ball,
@@ -302,6 +303,15 @@ class TestCephesPorts:
         p = _sobol_points(dim, 65536)
         for size in (64, 4096, 65536):
             assert _ndtri(p[:size]).tobytes() == ndtri(p[:size]).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4, 7, 12, SPHERE_NET_MAX_DIM])
+    def test_net_gathers_the_quantiles_bit_for_bit(self, dim):
+        # the net takes one quantile per multiple of 2^-m and gathers it, sizes of every kind of bit length
+        for size in (1, 63, 64, 65, 1000, 4096):
+            g = ndtri(_sobol_points(dim, size))
+            norms = np.linalg.norm(g, axis=1)
+            keep = norms > 1e-12
+            assert sphere_net(dim, size).tobytes() == (g[keep] / norms[keep, None]).tobytes()
 
     def test_ndtri_on_seeded_uniforms(self):
         u = np.random.Generator(np.random.Philox(key=np.uint64(27))).uniform(size=10**6)
@@ -754,6 +764,21 @@ class TestEdges:
             assert P.edges.shape[1] == 2 and P.edges.max() < len(P.vertices)
         # no diagonals of the square faces: an n-cube has n 2^(n-1) edges
         assert len(polytopes[0].edges) == len(polytopes[1].edges) == dim * 2 ** (dim - 1)
+
+    def test_many_facet_h_polytope_in_blocks(self, monkeypatch):
+        # 48 facets in general position at n = 5 make a simple polytope of hundreds of vertices: each vertex
+        # lies on 5 facets, and two vertices span an edge when they share 4
+        rng = np.random.default_rng(80)
+        N = rng.normal(size=(24, 5))
+        N /= np.linalg.norm(N, axis=1, keepdims=True)
+        P = HPolytope(np.vstack([N, -N]), np.ones(48))
+        tight = (np.abs(P.vertices @ P.normals.T - P.offsets) < 1e-9).astype(int)
+        assert np.all(tight.sum(axis=1) == 5)
+        expected = np.argwhere(np.triu(tight @ tight.T == 4, k=1))
+        assert len(P.vertices) > 500 and P.edges.tobytes() == expected.tobytes()
+        # the pairs are tested a block at a time; blocks of 7 pairs, the last one short, give the same edges
+        monkeypatch.setattr(bodies, "_EDGE_BLOCK", 7 * len(P.vertices))
+        assert HPolytope(P.normals, P.offsets).edges.tobytes() == P.edges.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_boundary_simplices_tile_the_boundary(self, dim):
