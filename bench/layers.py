@@ -11,9 +11,11 @@ the stack of L's supporting planes along ``solve``'s 64n start directions,
 at that direction, ``hyperplane_chart`` and ``fd_tangential_gradient`` (as
 ``capsec check-gradient`` runs it) on the 64n start directions, and the
 solver stages as ``solve`` runs them: the lockstep ``_gradient_stage`` of
-the 64n starts (descent, ascent and none, in turn), the lockstep ``_polish``
-of every start from where that stage ends, and ``_classify`` on the
-one-row stack of the pair a descent reaches.  The inner body is a seeded
+the 64n starts (descent, ascent and none, in turn), the polish's
+least-squares step (``_lstsq``, ``test_lstsq_stack``) on the stack of
+Jacobians at that stage's ends, the lockstep ``_polish`` of every start
+from where that stage ends, and ``_classify`` on the one-row stack of the
+pair a descent reaches.  The inner body is a seeded
 random ellipsoid fitted inside K; one more chart case fits an lp-ball with
 p = 3 in a ball, so the boundary chart at L's flat points is timed too.
 Two more cases time the exhaustive oracle ``grid_census`` at resolution
@@ -35,6 +37,7 @@ from capsec.solver import (
     _chart_move,
     _classify,
     _gradient_stage,
+    _lstsq,
     _newton_chart,
     _polish,
     _start_directions,
@@ -187,6 +190,17 @@ def test_gradient_stage(benchmark, kind, dim):
     _, r, _, refused = benchmark(_gradient_stage, K, L, z, signs)
     assert not refused.any()
     assert np.linalg.norm(r[signs != 0.0], axis=1).max() < POLISH_TRIGGER
+
+
+@pytest.mark.parametrize("kind, dim", CASES)
+def test_lstsq_stack(benchmark, kind, dim):
+    K, L, _ = instance(kind, dim)
+    z, signs = starts(dim)
+    z, r, _, _ = _gradient_stage(K, L, z, signs)
+    _, J, _ = _newton_chart(K, L, z)
+    x = benchmark(_lstsq, J, -r)
+    expected = np.array([np.linalg.lstsq(Ji, -ri, rcond=None)[0] for Ji, ri in zip(J, r)])
+    assert (np.linalg.norm(x - expected, axis=1) <= 1e-9 * np.linalg.norm(expected, axis=1)).all()
 
 
 @pytest.mark.parametrize("kind, dim", CASES)

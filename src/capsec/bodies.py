@@ -848,9 +848,11 @@ def _sphere_net(dim, size):
         net = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
         # points 1 to size < 2^m pick only Sobol columns 0 to m - 1, so each coordinate is a
-        # multiple of 2^-m: the quantile is taken once per multiple and gathered
+        # multiple of 2^-m: the quantile is taken once per multiple and gathered.  _ndtri is
+        # odd about 1/2 bit for bit there (1 - p is exact), so only the lower half is taken
         m = size.bit_length()
-        quantile = _ndtri(np.arange(2**m) * 2.0**-m)
+        lower = _ndtri(np.arange(2 ** (m - 1) + 1) * 2.0**-m)
+        quantile = np.concatenate([lower, -lower[-2:0:-1]])
         g = quantile[(_sobol_points(dim, size) * 2.0**m).astype(np.intp)]
         norms = np.linalg.norm(g, axis=1)
         keep = norms > 1e-12

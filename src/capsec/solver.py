@@ -3,7 +3,8 @@
 Runs projected-gradient descent/ascent on the sphere with Armijo
 backtracking, whose retries are chosen by quadratic interpolation; polishes
 each candidate, from the gradient stage's last evaluation, with a damped
-Gauss-Newton iteration on the centroid-minus-touch-point residual;
+Gauss-Newton iteration on the centroid-minus-touch-point residual, whose
+steps are least-squares solutions from a batched QR factorisation;
 deduplicates antipodal clusters; and certifies the distinct-pair count
 against the dimension lower bound.  Both stages are rules for one round
 loop, ``_lockstep``, which advances every start together, one stacked call
@@ -333,6 +334,28 @@ def _chart_move(L, base, step):
 
 
 def _lstsq(J, b):
+    """Least-squares solutions of J x = b, one per row of a stack of n x k matrices J.
+
+    Each row takes the reduced QR factorisation of [J b], whose triangle
+    holds J's R and Q^T b, and solves R x = Q^T b: backward stable where J
+    has full rank, without the normal equations, which square cond(J).  A row
+    whose R has a diagonal at most eps * n times its largest is rank
+    deficient and takes ``_svd_lstsq``'s minimum-norm answer instead, so a
+    row's answer is the one it gets alone, bit for bit.
+    """
+    n, k = J.shape[-2:]
+    R = np.linalg.qr(np.concatenate([J, b[..., None]], axis=-1), mode="r")
+    d = np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :k])
+    full = d.min(axis=1) > np.finfo(float).eps * n * d.max(axis=1)
+    if full.all():  # every row, as a rule: no masked copies
+        return np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0]
+    x = np.empty((len(J), k))
+    x[full] = np.linalg.solve(R[full, :k, :k], R[full, :k, k:])[:, :, 0]
+    x[~full] = _svd_lstsq(J[~full], b[~full])
+    return x
+
+
+def _svd_lstsq(J, b):
     """Minimum-norm least-squares solutions of J x = b, one per row of a stack, with ``lstsq``'s default cutoff.
 
     Singular values at most eps * max(J's shape) times the largest are taken
@@ -348,7 +371,9 @@ def _polish(K, L, z, r):
     """Damped Gauss-Newton on the centroid-minus-touch residual in a tangent chart.
 
     ``z`` is an (m, n) stack of starts and ``r`` their residual vectors.  A
-    Newton step takes its chart from ``_newton_chart`` and starts undamped.
+    Newton step takes its chart from ``_newton_chart``, solves J x = -r in
+    the least-squares sense by a QR factorisation (``_lstsq``), and starts
+    undamped.
     A trial that does not lower the residual, or whose section is refused,
     halves the damping; a start stops after 12 such trials in a row, after
     ``POLISH_MAX_ITERS`` steps, or at a quarter of ``RESIDUAL_TOL``.

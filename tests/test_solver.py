@@ -34,6 +34,7 @@ from capsec.solver import (
     _newton_chart,
     _gradient_stage,
     _lockstep,
+    _lstsq,
     _polish,
     _residual_vector,
     _start_directions,
@@ -796,6 +797,56 @@ class TestLockstepDriver:
 
         steps = _lockstep(np.zeros(3, dtype=bool), anything, anything, never, 2, 3)
         assert steps.tolist() == [0, 0, 0]
+
+
+def lstsq_rows(J, b):
+    """``np.linalg.lstsq`` with its default cutoff, one row of the stack at a time."""
+    return np.array([np.linalg.lstsq(Ji, bi, rcond=None)[0] for Ji, bi in zip(J, b)])
+
+
+class TestLstsq:
+    """``_lstsq``, the polish's step, against ``np.linalg.lstsq`` row by row."""
+
+    @staticmethod
+    def solve_quietly(J, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            x = _lstsq(J, b)
+            for i in range(len(J)):  # each row's answer is the one it gets alone
+                assert np.array_equal(x[i], _lstsq(J[i : i + 1].copy(), b[i : i + 1].copy())[0])
+        return x
+
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_full_rank_stacks(self, dim, m):
+        rng = np.random.default_rng([dim, m])
+        J, b = rng.normal(size=(m, dim, dim - 1)), rng.normal(size=(m, dim))
+        x, expected = self.solve_quietly(J, b), lstsq_rows(J, b)
+        assert (np.linalg.norm(x - expected, axis=1) <= 1e-12 * np.linalg.norm(expected, axis=1)).all()
+
+    def test_needle_jacobians_keep_the_least_residual(self, needle_in_cube):
+        # the gradient stage's ends near the needle give cond(J) up to about 1e8, where the
+        # normal equations would lose every digit; the least residual |J x - b| still agrees
+        K, L, _ = needle_in_cube
+        z, signs = _start_directions(4, 32, 0), np.array([1.0, -1.0, 0.0])[np.arange(32) % 3]
+        z, r, _, refused = _gradient_stage(K, L, z, signs)
+        _, J, _ = _newton_chart(K, L, z[~refused])
+        b = -r[~refused]
+        assert np.linalg.cond(J).max() > 5e7
+        x, expected = self.solve_quietly(J, b), lstsq_rows(J, b)
+        least = np.linalg.norm(np.einsum("mij,mj->mi", J, expected) - b, axis=1)
+        assert np.linalg.norm(np.einsum("mij,mj->mi", J, x) - b, axis=1) == pytest.approx(least, rel=1e-12)
+
+    def test_rank_deficient_rows_take_the_minimum_norm_answer(self):
+        rng = np.random.default_rng(7)
+        J, b = rng.normal(size=(5, 4, 3)), rng.normal(size=(5, 4))
+        J[0] *= 1e-30  # full rank: the cutoff is each row's own, not the stack's
+        J[1, :, 1] = 0.0  # a zero column
+        J[3, :, 2] = J[3, :, 0]  # two equal columns
+        J[4] = 0.0
+        x, expected = self.solve_quietly(J, b), lstsq_rows(J, b)
+        assert x == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert x[1, 1] == 0.0 and x[3, 0] == pytest.approx(x[3, 2], rel=1e-12) and not x[4].any()
 
 
 def make_pair(dim, i=0, morse_index=None):
